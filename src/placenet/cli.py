@@ -2,9 +2,10 @@
 
 Subcommands: generate, features, similarity, represent, embed, prevalence.
 Every run writes its outputs plus a ``run_metadata.json`` sidecar recording
-the resolved options, seed and input digests; given identical inputs,
-options and seed, all outputs are byte-identical. Exit codes: 0 success,
-1 usage error, 2 data/validation error, 3 numerical failure.
+the resolved options, seed, input digests and the digests of the files the
+run wrote; given identical inputs, options and seed, all outputs are
+byte-identical. Exit codes: 0 success, 1 usage error, 2 data/validation
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from placenet.embedding import (
     load_corpus_jsonl,
@@ -82,21 +81,34 @@ def _combined_digest(named: dict[str, str]) -> str:
     return _sha256_text(joined)
 
 
-def _write_metadata(out_dir: Path, command: str, seed: int | None,
-                    options: dict, inputs: dict[str, str]) -> None:
-    """Location-independent provenance: names and digests only, no paths."""
-    outputs = {}
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name != "run_metadata.json":
-            outputs[path.relative_to(out_dir).as_posix()] = _sha256_file(path)
+# Namespace entries that are not recorded under "options".
+_NOT_OPTIONS = {"out_dir", "seed", "subcommand", "func"}
+
+
+def _write_metadata(args, written: list[str], extra_inputs: dict[str, str]) -> None:
+    """Location-independent provenance: names and digests only, no paths.
+
+    Options are the parsed arguments. File arguments (``Path`` values) are
+    recorded by basename and digested as inputs. Outputs are exactly the
+    files this run wrote, relative to ``--out-dir``.
+    """
+    options: dict = {}
+    inputs = dict(extra_inputs)
+    for key, value in vars(args).items():
+        if key in _NOT_OPTIONS:
+            continue
+        if isinstance(value, Path):
+            inputs[value.name] = _sha256_file(value)
+            value = value.name
+        options[key] = value
     meta = {
-        "command": command,
-        "seed": seed,
+        "command": args.subcommand,
+        "seed": getattr(args, "seed", None),
         "options": options,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": {rel: _sha256_file(args.out_dir / rel) for rel in written},
     }
-    (out_dir / "run_metadata.json").write_text(
+    (args.out_dir / "run_metadata.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -130,20 +142,15 @@ def _resolve(base: Path, rel: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _parse_k_set(text: str) -> tuple[int, ...]:
-    out: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        k = int(tok)
-        if k < 1:
-            raise ValueError(f"k values must be >= 1, got {k}")
-        if k not in out:
-            out.append(k)
-    if not out:
-        raise ValueError("k-set must name at least one k value")
-    return tuple(out)
+def _k_set(text: str) -> tuple[int, ...]:
+    """``--k-set`` type: comma-separated k >= 1; repeats dropped, order kept."""
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not ks or min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"expected k values >= 1, got {text!r}")
+    return tuple(dict.fromkeys(ks))
 
 
 def _forest_params(args) -> ForestParams:
@@ -159,19 +166,25 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", text)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes into ``out_dir`` and returns the relative paths it
+# wrote plus any input digests beyond those of its file arguments.
 
 
-def _cmd_generate(args) -> int:
-    config_path = Path(args.config)
+def _cmd_generate(args, out_dir: Path):
     parser = configparser.ConfigParser()
-    with open(config_path, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8") as fh:
         parser.read_file(fh)
-    out_dir = Path(args.out_dir)
-    graphs_dir = out_dir / "graphs"
-    graphs_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "graphs").mkdir(exist_ok=True)
 
+    written: list[str] = []
     manifest_lines: list[str] = []
     for section_index, section in enumerate(parser.sections()):
         items = dict(parser.items(section))
@@ -194,6 +207,7 @@ def _cmd_generate(args) -> int:
             (out_dir / rel).write_text(
                 serialize_edge_list(spec.build()), encoding="utf-8"
             )
+            written.append(rel)
             manifest_lines.append(json.dumps(
                 {"id": graph_id, "path": rel, "category": category},
                 sort_keys=True,
@@ -202,28 +216,14 @@ def _cmd_generate(args) -> int:
         "\n".join(manifest_lines) + ("\n" if manifest_lines else ""),
         encoding="utf-8",
     )
-
-    _write_metadata(
-        out_dir,
-        "generate",
-        args.seed,
-        {"config": config_path.name},
-        {config_path.name: _sha256_file(config_path)},
-    )
-    return 0
+    return written + ["manifest.jsonl"], {}
 
 
-def _cmd_features(args) -> int:
-    manifest_path = Path(args.manifest)
-    entries = _read_manifest(manifest_path)
-    k_set = _parse_k_set(args.k_set)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _cmd_features(args, out_dir: Path):
     rows = []
     graph_digests: dict[str, str] = {}
-    for entry in entries:
-        gpath = _resolve(manifest_path.parent, entry["path"])
+    for entry in _read_manifest(args.manifest):
+        gpath = _resolve(args.manifest.parent, entry["path"])
         text = gpath.read_text(encoding="utf-8")
         try:
             graph = parse_edge_list(text)
@@ -231,7 +231,7 @@ def _cmd_features(args) -> int:
             raise ValueError(f"{gpath}: {exc}")
         fv = compute_features(
             graph,
-            k_set,
+            args.k_set,
             count_mode=args.count_mode,
             lambda2_scope=args.lambda2_scope,
             lambda2_tol=args.lambda2_tol,
@@ -241,23 +241,8 @@ def _cmd_features(args) -> int:
         )
         rows.append((entry["id"], fv))
         graph_digests[entry["id"]] = _sha256_text(text)
-    write_features_csv(str(out_dir / "features.csv"), rows, k_set)
-
-    options = {
-        "manifest": manifest_path.name,
-        "k_set": list(k_set),
-        "count_mode": args.count_mode,
-        "lambda2_scope": args.lambda2_scope,
-        "lambda2_tol": args.lambda2_tol,
-        "lambda2_max_iter": args.lambda2_max_iter,
-        "path_sample_sources": args.path_sample_sources,
-    }
-    inputs = {
-        manifest_path.name: _sha256_file(manifest_path),
-        "graphs": _combined_digest(graph_digests),
-    }
-    _write_metadata(out_dir, "features", args.seed, options, inputs)
-    return 0
+    write_features_csv(str(out_dir / "features.csv"), rows, args.k_set)
+    return ["features.csv"], {"graphs": _combined_digest(graph_digests)}
 
 
 def _load_ensemble(features_path: Path, manifest_path: Path) -> tuple[Ensemble, list[str]]:
@@ -274,54 +259,28 @@ def _load_ensemble(features_path: Path, manifest_path: Path) -> tuple[Ensemble, 
     return ensemble, names
 
 
-def _cmd_similarity(args) -> int:
-    features_path = Path(args.features)
-    manifest_path = Path(args.manifest)
-    ensemble, names = _load_ensemble(features_path, manifest_path)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _cmd_similarity(args, out_dir: Path):
+    ensemble, names = _load_ensemble(args.features, args.manifest)
     matrix, importance = auc_matrix(
         ensemble, folds=args.folds, seed=args.seed, params=_forest_params(args)
     )
     write_auc_matrix_csv(matrix, str(out_dir / "auc_matrix.csv"))
     write_importance_csv(str(out_dir / "importance.csv"), importance, names)
-
-    options = {
-        "features": features_path.name,
-        "manifest": manifest_path.name,
-        "folds": args.folds,
-        "n_trees": args.n_trees,
-        "max_depth": args.max_depth,
-        "min_leaf": args.min_leaf,
-        "features_per_split": args.features_per_split,
-    }
-    inputs = {
-        features_path.name: _sha256_file(features_path),
-        manifest_path.name: _sha256_file(manifest_path),
-    }
-    _write_metadata(out_dir, "similarity", args.seed, options, inputs)
-    return 0
+    return ["auc_matrix.csv", "importance.csv"], {}
 
 
-def _cmd_represent(args) -> int:
-    features_path = Path(args.features)
-    manifest_path = Path(args.manifest)
-    importance_path = Path(args.importance)
-    ensemble, names = _load_ensemble(features_path, manifest_path)
-    imp_names, importance = read_importance_csv(str(importance_path))
+def _cmd_represent(args, out_dir: Path):
+    ensemble, names = _load_ensemble(args.features, args.manifest)
+    imp_names, importance = read_importance_csv(str(args.importance))
     if imp_names != names:
         raise ValueError(
-            f"{importance_path}: feature names do not match {features_path.name}"
+            f"{args.importance}: feature names do not match {args.features.name}"
         )
-    entries = _read_manifest(manifest_path)
-    path_of = {e["id"]: e["path"] for e in entries}
-
-    out_dir = Path(args.out_dir)
-    copies_dir = out_dir / "representatives"
-    copies_dir.mkdir(parents=True, exist_ok=True)
+    path_of = {e["id"]: e["path"] for e in _read_manifest(args.manifest)}
+    (out_dir / "representatives").mkdir(exist_ok=True)
 
     rows = []
+    written = ["representatives.csv"]
     for category in ensemble.category_names():
         dists = representative_distances(
             ensemble,
@@ -331,39 +290,17 @@ def _cmd_represent(args) -> int:
             weight_mode=args.weight_mode,
         )
         rep_id, dist = min(dists, key=lambda pair: (pair[1], pair[0]))
-        rows.append((category, rep_id, dist))
-        src = _resolve(manifest_path.parent, path_of[rep_id])
-        dst = copies_dir / f"{_safe_name(category)}__{_safe_name(rep_id)}.edges"
-        dst.write_bytes(src.read_bytes())
-
-    with open(out_dir / "representatives.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "graph_id", "distance"])
-        for category, rep_id, dist in rows:
-            writer.writerow([category, rep_id, repr(dist)])
-
-    options = {
-        "features": features_path.name,
-        "manifest": manifest_path.name,
-        "importance": importance_path.name,
-        "rank_scope": args.rank_scope,
-        "weight_mode": args.weight_mode,
-    }
-    inputs = {
-        features_path.name: _sha256_file(features_path),
-        manifest_path.name: _sha256_file(manifest_path),
-        importance_path.name: _sha256_file(importance_path),
-    }
-    _write_metadata(out_dir, "represent", None, options, inputs)
-    return 0
+        rows.append([category, rep_id, repr(dist)])
+        rel = f"representatives/{_safe_name(category)}__{_safe_name(rep_id)}.edges"
+        src = _resolve(args.manifest.parent, path_of[rep_id])
+        (out_dir / rel).write_bytes(src.read_bytes())
+        written.append(rel)
+    _write_csv(out_dir / "representatives.csv", ["category", "graph_id", "distance"], rows)
+    return written, {}
 
 
-def _cmd_embed(args) -> int:
-    corpus_path = Path(args.corpus)
-    records = load_corpus_jsonl(str(corpus_path))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _cmd_embed(args, out_dir: Path):
+    records = load_corpus_jsonl(str(args.corpus))
     model = train_skipgram(
         records,
         dim=args.dim,
@@ -374,100 +311,65 @@ def _cmd_embed(args) -> int:
         seed=args.seed,
     )
     save_model_tsv(model, str(out_dir / "model.tsv"))
-    with open(out_dir / "losses.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(model.epoch_losses, start=1):
-            writer.writerow([epoch, repr(loss)])
+    _write_csv(out_dir / "losses.csv", ["epoch", "loss"], (
+        [epoch, repr(loss)] for epoch, loss in enumerate(model.epoch_losses, start=1)
+    ))
+    written = ["model.tsv", "losses.csv"]
+    if not args.seeds:
+        return written, {}
 
-    inputs = {corpus_path.name: _sha256_file(corpus_path)}
-    if args.seeds:
-        seeds_path = Path(args.seeds)
-        seeds_map = json.loads(seeds_path.read_text(encoding="utf-8"))
-        if not isinstance(seeds_map, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
-        ):
-            raise ValueError(f"{seeds_path}: expected a JSON object of type -> label")
-        inputs[seeds_path.name] = _sha256_file(seeds_path)
-        allow: set[str] | None = None
-        if args.allowlist:
-            allow_path = Path(args.allowlist)
-            allow = {
-                line.strip()
-                for line in allow_path.read_text(encoding="utf-8").splitlines()
-                if line.strip() and not line.strip().startswith("#")
-            }
-            inputs[allow_path.name] = _sha256_file(allow_path)
-        with open(out_dir / "neighbors.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["type", "seed_label", "rank", "label", "cosine"])
-            for place_type in sorted(seeds_map):
-                seed_label = seeds_map[place_type]
-                if seed_label not in model:
-                    raise ValueError(
-                        f"{seeds_path}: seed label {seed_label!r} for type "
-                        f"{place_type!r} is not in the vocabulary"
-                    )
-                neighbors = nearest_categories(model, seed_label, top_k=args.top_k)
-                for rank, (label, cosine) in enumerate(neighbors, start=1):
-                    if allow is not None and label not in allow:
-                        continue
-                    writer.writerow([place_type, seed_label, rank, label, repr(cosine)])
-
-    options = {
-        "corpus": corpus_path.name,
-        "dim": args.dim,
-        "epochs": args.epochs,
-        "negatives": args.negatives,
-        "learning_rate": args.learning_rate,
-        "min_count": args.min_count,
-        "top_k": args.top_k,
-        "seeds": Path(args.seeds).name if args.seeds else None,
-        "allowlist": Path(args.allowlist).name if args.allowlist else None,
-    }
-    _write_metadata(out_dir, "embed", args.seed, options, inputs)
-    return 0
+    seeds_map = json.loads(args.seeds.read_text(encoding="utf-8"))
+    if not isinstance(seeds_map, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
+    ):
+        raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
+    allow: set[str] | None = None
+    if args.allowlist:
+        allow = {
+            line.strip()
+            for line in args.allowlist.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.strip().startswith("#")
+        }
+    rows = []
+    for place_type in sorted(seeds_map):
+        seed_label = seeds_map[place_type]
+        if seed_label not in model:
+            raise ValueError(
+                f"{args.seeds}: seed label {seed_label!r} for type "
+                f"{place_type!r} is not in the vocabulary"
+            )
+        neighbors = nearest_categories(model, seed_label, top_k=args.top_k)
+        for rank, (label, cosine) in enumerate(neighbors, start=1):
+            if allow is None or label in allow:
+                rows.append([place_type, seed_label, rank, label, repr(cosine)])
+    _write_csv(out_dir / "neighbors.csv",
+               ["type", "seed_label", "rank", "label", "cosine"], rows)
+    return written + ["neighbors.csv"], {}
 
 
-def _cmd_prevalence(args) -> int:
-    places_path = Path(args.places)
-    regions_path = Path(args.regions)
-    records = load_places_csv(str(places_path))
-    regions = load_regions_csv(str(regions_path))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _cmd_prevalence(args, out_dir: Path):
+    records = load_places_csv(str(args.places))
+    regions = load_regions_csv(str(args.regions))
     counts = fractional_counts(records)
     table = per_capita(counts, regions)
     write_prevalence_csv(str(out_dir / "prevalence.csv"), table)
     medians = {key: bin_medians(table, regions, key) for key in BIN_KEYS}
     write_bin_medians_csv(str(out_dir / "bin_medians.csv"), medians)
+    written = ["prevalence.csv", "bin_medians.csv"]
+    if not args.external:
+        return written, {}
 
-    inputs = {
-        places_path.name: _sha256_file(places_path),
-        regions_path.name: _sha256_file(regions_path),
-    }
-    if args.external:
-        external_path = Path(args.external)
-        external = load_external_counts_csv(str(external_path))
-        inputs[external_path.name] = _sha256_file(external_path)
-        # Zero-count regions stay in the map so the log transform drops
-        # them visibly (reported in n_dropped) instead of silently.
-        by_category: dict[str, dict[str, float]] = {}
-        for (region, cat), entry in table.items():
-            by_category.setdefault(cat, {})[region] = entry.weighted_count
-        results = {}
-        for cat in sorted(set(by_category) & set(external)):
-            results[cat] = log_pearson(by_category[cat], external[cat])
-        write_correlation_csv(str(out_dir / "correlation.csv"), results)
-
-    options = {
-        "places": places_path.name,
-        "regions": regions_path.name,
-        "external": Path(args.external).name if args.external else None,
-    }
-    _write_metadata(out_dir, "prevalence", None, options, inputs)
-    return 0
+    external = load_external_counts_csv(str(args.external))
+    # Zero-count regions stay in the map so the log transform drops
+    # them visibly (reported in n_dropped) instead of silently.
+    by_category: dict[str, dict[str, float]] = {}
+    for (region, cat), entry in table.items():
+        by_category.setdefault(cat, {})[region] = entry.weighted_count
+    results = {}
+    for cat in sorted(set(by_category) & set(external)):
+        results[cat] = log_pearson(by_category[cat], external[cat])
+    write_correlation_csv(str(out_dir / "correlation.csv"), results)
+    return written + ["correlation.csv"], {}
 
 
 # ---------------------------------------------------------------------------
@@ -481,67 +383,61 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("generate", help="synthesize graphs from an archetype config")
-    p.add_argument("--config", required=True, help="INI-style archetype sections")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_generate)
+    def command(name, func, summary, seeded=True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out-dir", type=Path, required=True)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("features", help="compute feature CSV from a graph manifest")
-    p.add_argument("--manifest", required=True, help="JSONL of {id, path, category}")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--k-set", default=",".join(str(k) for k in DEFAULT_K_SET))
+    p = command("generate", _cmd_generate, "synthesize graphs from an archetype config")
+    p.add_argument("--config", type=Path, required=True, help="INI-style archetype sections")
+
+    p = command("features", _cmd_features, "compute feature CSV from a graph manifest")
+    p.add_argument("--manifest", type=Path, required=True, help="JSONL of {id, path, category}")
+    p.add_argument("--k-set", type=_k_set, default=DEFAULT_K_SET)
     p.add_argument("--count-mode", choices=["components", "nodes"], default="components")
     p.add_argument("--lambda2-scope", choices=["lcc", "global"], default="lcc")
     p.add_argument("--lambda2-tol", type=float, default=1e-8)
     p.add_argument("--lambda2-max-iter", type=int, default=10_000)
     p.add_argument("--path-sample-sources", type=int, default=0,
                    help="BFS source sample size for huge components (0 = exact)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("similarity", help="pairwise category AUC matrix + importance")
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = command("similarity", _cmd_similarity, "pairwise category AUC matrix + importance")
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--n-trees", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=0, help="0 = unbounded")
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--features-per-split", type=int, default=0,
                    help="0 = ceil(sqrt(d))")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_similarity)
 
-    p = sub.add_parser("represent", help="pick each category's representative graph")
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--importance", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = command("represent", _cmd_represent, "pick each category's representative graph",
+                seeded=False)
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--manifest", type=Path, required=True)
+    p.add_argument("--importance", type=Path, required=True)
     p.add_argument("--rank-scope", choices=["pooled", "per_category"], default="pooled")
     p.add_argument("--weight-mode", choices=["squared", "presquare"], default="squared")
-    p.set_defaults(func=_cmd_represent)
 
-    p = sub.add_parser("embed", help="train label embeddings and report neighbors")
-    p.add_argument("--corpus", required=True, help="JSONL of {categories: [...]}")
-    p.add_argument("--out-dir", required=True)
+    p = command("embed", _cmd_embed, "train label embeddings and report neighbors")
+    p.add_argument("--corpus", type=Path, required=True, help="JSONL of {categories: [...]}")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--learning-rate", type=float, default=0.025)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--top-k", type=int, default=300)
-    p.add_argument("--seeds", help="JSON object: place type -> seed label")
-    p.add_argument("--allowlist", help="optional file of permitted labels")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_embed)
+    p.add_argument("--seeds", type=Path, help="JSON object: place type -> seed label")
+    p.add_argument("--allowlist", type=Path, help="optional file of permitted labels")
 
-    p = sub.add_parser("prevalence", help="per-capita prevalence statistics")
-    p.add_argument("--places", required=True)
-    p.add_argument("--regions", required=True)
-    p.add_argument("--external", help="optional external counts for correlation")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_prevalence)
+    p = command("prevalence", _cmd_prevalence, "per-capita prevalence statistics",
+                seeded=False)
+    p.add_argument("--places", type=Path, required=True)
+    p.add_argument("--regions", type=Path, required=True)
+    p.add_argument("--external", type=Path, help="optional external counts for correlation")
 
     return parser
 
@@ -555,7 +451,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        written, extra_inputs = args.func(args, args.out_dir)
+        _write_metadata(args, written, extra_inputs)
+        return 0
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

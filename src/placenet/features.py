@@ -506,7 +506,13 @@ def read_features_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
                     f"{path}: line {line_no}: expected {len(header)} cells, "
                     f"found {len(row)}"
                 )
+            try:
+                values = [float(c) for c in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {line_no}: non-finite feature value")
             ids.append(row[0])
-            data.append([float(c) for c in row[1:]])
+            data.append(values)
     matrix = np.array(data, dtype=float) if data else np.empty((0, len(names)))
     return ids, names, matrix

@@ -47,16 +47,6 @@ class ForestParams:
     seed: int = 0
 
 
-def _as_matrix(rows) -> np.ndarray:
-    """Accept a 2-D array or a sequence of vectors / FeatureVector objects."""
-    if isinstance(rows, np.ndarray):
-        return rows.astype(float, copy=False)
-    return np.asarray(
-        [row.as_array() if hasattr(row, "as_array") else row for row in rows],
-        dtype=float,
-    )
-
-
 class _Tree:
     """Flat array representation; feature[i] == -1 marks a leaf."""
 
@@ -212,8 +202,6 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
 
 def predict_score(forest: Forest, x: Sequence[float]) -> float:
     """Mean positive-class leaf probability over the forest's trees."""
-    if hasattr(x, "as_array"):
-        x = x.as_array()
     vec = np.asarray(x, dtype=float)
     if vec.shape != (forest.n_features,):
         raise ValueError(
@@ -289,8 +277,8 @@ def cross_validated_auc(
         ValueError: if folds < 2 or either class has fewer samples than
             folds.
     """
-    A = _as_matrix(a)
-    B = _as_matrix(b)
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("a and b must be 2-D with the same feature dimension")
     if folds < 2:

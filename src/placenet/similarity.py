@@ -12,9 +12,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from placenet.features import FeatureVector, feature_names
+from placenet.features import feature_names
 from placenet.forest import ForestParams, cross_validated_auc
 from placenet.seeding import derive_seed
 
@@ -32,13 +31,11 @@ class Ensemble:
         self._dim: int | None = None
 
     def add(self, category: str, graph_id: str, features) -> None:
-        vec = (
-            features.as_array()
-            if isinstance(features, FeatureVector)
-            else np.asarray(features, dtype=float)
-        )
+        vec = np.asarray(features, dtype=float)
         if vec.ndim != 1:
             raise ValueError(f"graph {graph_id!r}: features must be a flat vector")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"graph {graph_id!r}: features must be finite")
         if self._dim is None:
             self._dim = len(vec)
         elif len(vec) != self._dim:
@@ -129,17 +126,39 @@ def auc_matrix(
     return AucMatrix(tuple(cats), values), importance
 
 
+def _default_names(dim: int) -> list[str]:
+    """The canonical 18 feature names, or ``feature_<i>`` for any other dimension."""
+    return feature_names() if dim == 18 else [f"feature_{i}" for i in range(dim)]
+
+
 def global_importance_ranking(
     importance, names: list[str] | None = None
 ) -> list[tuple[str, int]]:
     """Features by descending importance; ties keep canonical feature order."""
     imp = np.asarray(importance, dtype=float)
-    if names is None:
-        names = feature_names() if len(imp) == 18 else [f"feature_{i}" for i in range(len(imp))]
+    names = _default_names(len(imp)) if names is None else names
     if len(names) != len(imp):
         raise ValueError("importance and names must align")
     order = sorted(range(len(imp)), key=lambda f: (-imp[f], f))
     return [(names[f], rank + 1) for rank, f in enumerate(order)]
+
+
+def _average_ranks(X: np.ndarray) -> np.ndarray:
+    """Column-wise 1-based ranks of a 2-D array; ties share their average rank.
+
+    Equals ``scipy.stats.rankdata(X, axis=0, method="average")`` on finite
+    input: a tie run over sorted positions i..j gets rank (i + j + 2) / 2.
+    """
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    edge = np.ones((X.shape[0] + 1, X.shape[1]), dtype=bool)  # run boundaries
+    edge[1:-1] = xs[1:] != xs[:-1]
+    pos = np.arange(X.shape[0])[:, None]
+    first = np.maximum.accumulate(np.where(edge[:-1], pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(edge[1:], pos, len(pos) - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(X.shape)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=0)
+    return ranks
 
 
 def representative_distances(
@@ -173,10 +192,10 @@ def representative_distances(
                 if cat == category:
                     member_rows.append(len(rows))
                 rows.append(vec)
-        ranks = rankdata(np.vstack(rows), axis=0, method="average")
+        ranks = _average_ranks(np.vstack(rows))
         cat_ranks = ranks[member_rows]
     elif rank_scope == "per_category":
-        cat_ranks = rankdata(ensemble.matrix(category), axis=0, method="average")
+        cat_ranks = _average_ranks(ensemble.matrix(category))
     else:
         raise ValueError(f"unknown rank_scope {rank_scope!r}")
     mean_rank = cat_ranks.mean(axis=0)
@@ -218,10 +237,7 @@ def write_auc_matrix_csv(matrix: AucMatrix, path: str) -> None:
 def write_importance_csv(path: str, importance, names: list[str] | None = None) -> None:
     """Rows in canonical feature order: feature, importance, rank."""
     imp = np.asarray(importance, dtype=float)
-    if names is None:
-        canonical = feature_names() if len(imp) == 18 else [f"feature_{i}" for i in range(len(imp))]
-    else:
-        canonical = list(names)
+    canonical = _default_names(len(imp)) if names is None else list(names)
     rank_of = dict(global_importance_ranking(imp, canonical))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -261,3 +261,101 @@ def test_undersized_similarity_category_is_data_error(tmp_path, capsys):
                  "--manifest", str(tmp_path / "gen" / "manifest.jsonl"),
                  "--out-dir", str(tmp_path / "sim2"), "--folds", "10"]) == 2
     assert "needs >= 10" in capsys.readouterr().err
+
+
+def test_similarity_on_non_finite_features_is_data_error(tmp_path, capsys):
+    run_pipeline(tmp_path)
+    features = tmp_path / "feat" / "features.csv"
+    lines = features.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[6] = "nan"  # avg_clustering of one graph
+    lines[4] = ",".join(cells)
+    bad = tmp_path / "nan_features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["similarity", "--features", str(bad),
+                 "--manifest", str(tmp_path / "gen" / "manifest.jsonl"),
+                 "--out-dir", str(tmp_path / "sim_nan"),
+                 "--folds", "2", "--n-trees", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "nan_features.csv" in err and "line 5" in err
+    assert not (tmp_path / "sim_nan" / "auc_matrix.csv").exists()
+
+
+@pytest.mark.parametrize("k_set", ["0", "2,x", ","])
+def test_malformed_k_set_is_usage_error(tmp_path, capsys, k_set):
+    assert main(["features", "--manifest", str(tmp_path / "m.jsonl"),
+                 "--out-dir", str(tmp_path / "out"), "--k-set", k_set]) == 1
+    assert "--k-set" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# provenance
+
+
+def read_meta(out_dir):
+    return json.loads((out_dir / "run_metadata.json").read_text())
+
+
+def test_metadata_records_options_inputs_and_outputs(tmp_path):
+    run_pipeline(tmp_path)
+    meta = read_meta(tmp_path / "feat")
+    assert meta["command"] == "features"
+    assert meta["seed"] == 0
+    assert meta["options"] == {
+        "manifest": "manifest.jsonl", "k_set": [2, 4, 8, 16],
+        "count_mode": "components", "lambda2_scope": "lcc",
+        "lambda2_tol": 1e-8, "lambda2_max_iter": 10_000,
+        "path_sample_sources": 0,
+    }
+    assert sorted(meta["inputs"]) == ["graphs", "manifest.jsonl"]
+    assert list(meta["outputs"]) == ["features.csv"]
+    meta = read_meta(tmp_path / "rep")
+    assert meta["seed"] is None
+    assert sorted(meta["inputs"]) == ["features.csv", "importance.csv", "manifest.jsonl"]
+
+
+def test_stale_file_is_not_an_output(tmp_path):
+    run_pipeline(tmp_path)
+    out = tmp_path / "feat_again"
+    out.mkdir()
+    (out / "stale.txt").write_text("left over from another run\n")
+    assert main(["features", "--manifest", str(tmp_path / "gen" / "manifest.jsonl"),
+                 "--out-dir", str(out)]) == 0
+    assert read_meta(out)["outputs"] == read_meta(tmp_path / "feat")["outputs"]
+    assert "stale.txt" not in read_meta(out)["outputs"]
+
+
+def test_represent_rerun_omits_stale_copies(tmp_path):
+    run_pipeline(tmp_path)
+    rep = tmp_path / "rep"
+    old_copies = {p.name for p in (rep / "representatives").glob("*.edges")}
+    # drop the scatter category and pick representatives again in place
+    lines = (tmp_path / "feat" / "features.csv").read_text().splitlines()
+    reduced = tmp_path / "reduced.csv"
+    reduced.write_text("\n".join(
+        line for line in lines if not line.startswith("scatter_")) + "\n")
+    assert main(["represent", "--features", str(reduced),
+                 "--manifest", str(tmp_path / "gen" / "manifest.jsonl"),
+                 "--importance", str(tmp_path / "sim" / "importance.csv"),
+                 "--out-dir", str(rep)]) == 0
+    outputs = set(read_meta(rep)["outputs"])
+    copies = {name for name in outputs if name.startswith("representatives/")}
+    assert len(copies) == 2
+    stale = {f"representatives/{name}" for name in old_copies} - copies
+    assert len(stale) == 1 and next(iter(stale)).startswith("representatives/scatter__")
+    assert (rep / next(iter(stale))).exists()  # still on disk, but not reported
+    assert outputs == copies | {"representatives.csv"}
+
+
+def test_allowlist_without_seeds_is_digested(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    allow = tmp_path / "allow.txt"
+    allow.write_text("COFFEE\n")
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(tmp_path / "emb"),
+                 "--dim", "4", "--epochs", "1", "--allowlist", str(allow)]) == 0
+    meta = read_meta(tmp_path / "emb")
+    assert meta["options"]["allowlist"] == "allow.txt"
+    assert meta["options"]["seeds"] is None
+    assert sorted(meta["inputs"]) == ["allow.txt", "corpus.jsonl"]
+    assert sorted(meta["outputs"]) == ["losses.csv", "model.tsv"]

@@ -399,3 +399,24 @@ def test_features_csv_round_trip(tmp_path):
     assert names == feature_names()
     np.testing.assert_array_equal(matrix[0], rows[0][1].as_array())
     np.testing.assert_array_equal(matrix[1], rows[1][1].as_array())
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_features_csv_rejects_non_finite_cells(tmp_path, cell):
+    out = tmp_path / "features.csv"
+    write_features_csv(str(out), [("g1", compute_features(complete(4))),
+                                  ("g2", compute_features(path(5)))])
+    lines = out.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[6] = cell
+    lines[2] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{out}: line 3: non-finite"):
+        read_features_csv(str(out))
+
+
+def test_features_csv_rejects_non_numeric_cells(tmp_path):
+    out = tmp_path / "features.csv"
+    out.write_text("graph_id,a,b\ng1,1.0,2.0\ng2,1.0,oops\n")
+    with pytest.raises(ValueError, match=f"{out}: line 3: "):
+        read_features_csv(str(out))

@@ -1,14 +1,21 @@
 """Pairwise AUC matrix, importance ranking and representative selection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import brute
+import placenet
 from placenet.features import feature_names
 from placenet.forest import ForestParams
 from placenet.seeding import derive_rng
 from placenet.similarity import (
     Ensemble,
+    _average_ranks,
     auc_matrix,
     global_importance_ranking,
     representative_distances,
@@ -106,6 +113,45 @@ def test_ensemble_rejects_duplicates_and_ragged_vectors():
         ens.add("a", "g1", [3.0, 4.0])
     with pytest.raises(ValueError):
         ens.add("b", "g2", [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensemble_rejects_non_finite_vectors(bad):
+    ens = Ensemble()
+    with pytest.raises(ValueError, match="graph 'g7'.*finite"):
+        ens.add("a", "g7", [1.0, bad, 3.0])
+    assert ens.category_names() == []
+
+
+# ---------------------------------------------------------------------------
+# average ranks
+
+
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit():
+    rng = derive_rng(0x5A, 1)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 8))
+        levels = int(rng.integers(1, 10))
+        X = rng.integers(0, levels, size=(n, d)).astype(float)  # many ties
+        if trial % 3 == 0:
+            X[:, 0] = rng.normal(size=n)  # one tie-free column
+        if trial % 5 == 0:
+            X *= -1.0  # mixes -0.0 and 0.0, which must tie
+        want = rankdata(X, axis=0, method="average")
+        got = _average_ranks(X)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (X, got, want)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(placenet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, placenet.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
