@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import re
@@ -57,6 +56,7 @@ from placenet.similarity import (
     write_auc_matrix_csv,
     write_importance_csv,
 )
+from placenet.tables import read_jsonl, write_csv, write_jsonl
 
 
 class _UsageError(Exception):
@@ -115,26 +115,17 @@ def _write_metadata(args, written: list[str], extra_inputs: dict[str, str]) -> N
 
 def _read_manifest(path: Path) -> list[dict]:
     """JSONL entries {"id", "path", "category"}, validated with line numbers."""
-    entries: list[dict] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict) or not {"id", "path", "category"} <= set(obj):
-                raise ValueError(
-                    f"{path}: line {line_no}: entry needs id, path and category"
-                )
-            if obj["id"] in seen:
-                raise ValueError(f"{path}: line {line_no}: duplicate id {obj['id']!r}")
-            seen.add(obj["id"])
-            entries.append(obj)
-    return entries
+
+    def entry(obj) -> dict:
+        if not isinstance(obj, dict) or not {"id", "path", "category"} <= set(obj):
+            raise ValueError("entry needs id, path and category")
+        if obj["id"] in seen:
+            raise ValueError(f"duplicate id {obj['id']!r}")
+        seen.add(obj["id"])
+        return obj
+
+    return read_jsonl(path, entry)
 
 
 def _resolve(base: Path, rel: str) -> Path:
@@ -166,13 +157,6 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", text)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each writes into ``out_dir`` and returns the relative paths it
 # wrote plus any input digests beyond those of its file arguments.
@@ -185,7 +169,7 @@ def _cmd_generate(args, out_dir: Path):
     (out_dir / "graphs").mkdir(exist_ok=True)
 
     written: list[str] = []
-    manifest_lines: list[str] = []
+    manifest: list[dict] = []
     for section_index, section in enumerate(parser.sections()):
         items = dict(parser.items(section))
         count = int(items.pop("count", "1"))
@@ -208,14 +192,8 @@ def _cmd_generate(args, out_dir: Path):
                 serialize_edge_list(spec.build()), encoding="utf-8"
             )
             written.append(rel)
-            manifest_lines.append(json.dumps(
-                {"id": graph_id, "path": rel, "category": category},
-                sort_keys=True,
-            ))
-    (out_dir / "manifest.jsonl").write_text(
-        "\n".join(manifest_lines) + ("\n" if manifest_lines else ""),
-        encoding="utf-8",
-    )
+            manifest.append({"id": graph_id, "path": rel, "category": category})
+    write_jsonl(out_dir / "manifest.jsonl", manifest)
     return written + ["manifest.jsonl"], {}
 
 
@@ -245,22 +223,23 @@ def _cmd_features(args, out_dir: Path):
     return ["features.csv"], {"graphs": _combined_digest(graph_digests)}
 
 
-def _load_ensemble(features_path: Path, manifest_path: Path) -> tuple[Ensemble, list[str]]:
+def _load_ensemble(
+    features_path: Path, manifest_path: Path
+) -> tuple[Ensemble, list[str], dict[str, str]]:
+    """The feature table with the manifest's categories, the feature names
+    and each graph id's edge-list path."""
     ids, names, matrix = read_features_csv(str(features_path))
-    entries = _read_manifest(manifest_path)
-    category_of = {e["id"]: e["category"] for e in entries}
-    ensemble = Ensemble()
-    for graph_id, row in zip(ids, matrix):
-        if graph_id not in category_of:
-            raise ValueError(
-                f"{features_path}: graph {graph_id!r} is not in the manifest"
-            )
-        ensemble.add(category_of[graph_id], graph_id, row)
-    return ensemble, names
+    entries = {e["id"]: e for e in _read_manifest(manifest_path)}
+    missing = [graph_id for graph_id in ids if graph_id not in entries]
+    if missing:
+        raise ValueError(f"{features_path}: graph {missing[0]!r} is not in the manifest")
+    categories = [entries[graph_id]["category"] for graph_id in ids]
+    path_of = {graph_id: entry["path"] for graph_id, entry in entries.items()}
+    return Ensemble(ids, categories, matrix), names, path_of
 
 
 def _cmd_similarity(args, out_dir: Path):
-    ensemble, names = _load_ensemble(args.features, args.manifest)
+    ensemble, names, _ = _load_ensemble(args.features, args.manifest)
     matrix, importance = auc_matrix(
         ensemble, folds=args.folds, seed=args.seed, params=_forest_params(args)
     )
@@ -270,13 +249,12 @@ def _cmd_similarity(args, out_dir: Path):
 
 
 def _cmd_represent(args, out_dir: Path):
-    ensemble, names = _load_ensemble(args.features, args.manifest)
+    ensemble, names, path_of = _load_ensemble(args.features, args.manifest)
     imp_names, importance = read_importance_csv(str(args.importance))
     if imp_names != names:
         raise ValueError(
             f"{args.importance}: feature names do not match {args.features.name}"
         )
-    path_of = {e["id"]: e["path"] for e in _read_manifest(args.manifest)}
     (out_dir / "representatives").mkdir(exist_ok=True)
 
     rows = []
@@ -295,7 +273,7 @@ def _cmd_represent(args, out_dir: Path):
         src = _resolve(args.manifest.parent, path_of[rep_id])
         (out_dir / rel).write_bytes(src.read_bytes())
         written.append(rel)
-    _write_csv(out_dir / "representatives.csv", ["category", "graph_id", "distance"], rows)
+    write_csv(out_dir / "representatives.csv", ["category", "graph_id", "distance"], rows)
     return written, {}
 
 
@@ -311,7 +289,7 @@ def _cmd_embed(args, out_dir: Path):
         seed=args.seed,
     )
     save_model_tsv(model, str(out_dir / "model.tsv"))
-    _write_csv(out_dir / "losses.csv", ["epoch", "loss"], (
+    write_csv(out_dir / "losses.csv", ["epoch", "loss"], (
         [epoch, repr(loss)] for epoch, loss in enumerate(model.epoch_losses, start=1)
     ))
     written = ["model.tsv", "losses.csv"]
@@ -342,8 +320,8 @@ def _cmd_embed(args, out_dir: Path):
         for rank, (label, cosine) in enumerate(neighbors, start=1):
             if allow is None or label in allow:
                 rows.append([place_type, seed_label, rank, label, repr(cosine)])
-    _write_csv(out_dir / "neighbors.csv",
-               ["type", "seed_label", "rank", "label", "cosine"], rows)
+    write_csv(out_dir / "neighbors.csv",
+              ["type", "seed_label", "rank", "label", "cosine"], rows)
     return written + ["neighbors.csv"], {}
 
 

@@ -8,12 +8,12 @@ similarity for taxonomy expansion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from placenet.seeding import derive_rng
+from placenet.tables import read_jsonl
 
 MAX_RECORD_LABELS = 3
 
@@ -45,31 +45,21 @@ def load_corpus_jsonl(path: str) -> list[tuple[str, ...]]:
     naming the line for malformed JSON, empty records or records with more
     than 3 labels.
     """
-    records: list[tuple[str, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})")
-            labels = obj.get("categories") if isinstance(obj, dict) else None
-            if not isinstance(labels, list) or not labels:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected a non-empty 'categories' list"
-                )
-            if not all(isinstance(x, str) and x for x in labels):
-                raise ValueError(f"{path}: line {line_no}: labels must be non-empty strings")
-            uniq = tuple(sorted(set(labels)))
-            if len(uniq) > MAX_RECORD_LABELS:
-                raise ValueError(
-                    f"{path}: line {line_no}: a record holds at most "
-                    f"{MAX_RECORD_LABELS} labels, found {len(uniq)}"
-                )
-            records.append(uniq)
-    return records
+
+    def record(obj) -> tuple[str, ...]:
+        labels = obj.get("categories") if isinstance(obj, dict) else None
+        if not isinstance(labels, list) or not labels:
+            raise ValueError("expected a non-empty 'categories' list")
+        if not all(isinstance(x, str) and x for x in labels):
+            raise ValueError("labels must be non-empty strings")
+        uniq = tuple(sorted(set(labels)))
+        if len(uniq) > MAX_RECORD_LABELS:
+            raise ValueError(
+                f"a record holds at most {MAX_RECORD_LABELS} labels, found {len(uniq)}"
+            )
+        return uniq
+
+    return read_jsonl(path, record)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ feature vectors are always total.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import deque
@@ -30,6 +29,7 @@ from placenet.graph import (
     largest_connected_component,
 )
 from placenet.seeding import derive_rng
+from placenet.tables import number, read_csv, write_csv
 
 DEFAULT_K_SET = (2, 4, 8, 16)
 
@@ -360,10 +360,7 @@ def k_core_subgraph(g: Graph, k: int) -> Graph:
 
 def k_core_components(g: Graph, k: int) -> int:
     """Number of connected components of the k-core; 0 if the core is empty."""
-    core = k_core_subgraph(g, k)
-    if core.node_count() == 0:
-        return 0
-    return len(connected_components(core))
+    return len(connected_components(k_core_subgraph(g, k)))
 
 
 def k_brace_subgraph(g: Graph, k: int) -> Graph:
@@ -398,10 +395,7 @@ def k_brace_subgraph(g: Graph, k: int) -> Graph:
 
 def k_brace_components(g: Graph, k: int) -> int:
     """Number of connected components of the k-brace; 0 if it is empty."""
-    brace = k_brace_subgraph(g, k)
-    if brace.node_count() == 0:
-        return 0
-    return len(connected_components(brace))
+    return len(connected_components(k_brace_subgraph(g, k)))
 
 
 def compute_features(
@@ -441,14 +435,12 @@ def compute_features(
     kcore: list[int] = []
     kbrace: list[int] = []
     for k in k_set:
-        core = k_core_subgraph(g, k)
-        brace = k_brace_subgraph(g, k)
         if count_mode == "components":
-            kcore.append(len(connected_components(core)) if core.node_count() else 0)
-            kbrace.append(len(connected_components(brace)) if brace.node_count() else 0)
+            kcore.append(k_core_components(g, k))
+            kbrace.append(k_brace_components(g, k))
         else:
-            kcore.append(core.node_count())
-            kbrace.append(brace.node_count())
+            kcore.append(k_core_subgraph(g, k).node_count())
+            kbrace.append(k_brace_subgraph(g, k).node_count())
 
     return FeatureVector(
         n_nodes=n,
@@ -480,39 +472,19 @@ def write_features_csv(
     Reals are serialized with full round-trip precision (>= 12 significant
     digits), counts as plain integers.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["graph_id"] + feature_names(k_set))
-        for graph_id, fv in rows:
-            cells = [graph_id]
-            for value in fv.as_row():
-                cells.append(str(value) if isinstance(value, int) else repr(value))
-            writer.writerow(cells)
+    write_csv(path, ["graph_id"] + feature_names(k_set), (
+        [graph_id] + [str(v) if isinstance(v, int) else repr(v) for v in fv.as_row()]
+        for graph_id, fv in rows
+    ))
 
 
 def read_features_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV; returns (graph ids, feature names, value matrix)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "graph_id":
-            raise ValueError(f"{path}: missing feature CSV header")
-        names = header[1:]
-        ids: list[str] = []
-        data: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, "
-                    f"found {len(row)}"
-                )
-            try:
-                values = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: line {line_no}: non-finite feature value")
-            ids.append(row[0])
-            data.append(values)
-    matrix = np.array(data, dtype=float) if data else np.empty((0, len(names)))
-    return ids, names, matrix
+    header, rows = read_csv(path, None, lambda graph_id, *cells: (
+        graph_id, [number(c) for c in cells]
+    ))
+    if header[:1] != ["graph_id"]:
+        raise ValueError(f"{path}: line 1: missing feature CSV header")
+    ids = [graph_id for graph_id, _ in rows]
+    matrix = np.array([values for _, values in rows], dtype=float)
+    return ids, header[1:], matrix.reshape(len(ids), len(header) - 1)

@@ -37,17 +37,17 @@ def _ids(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(n)]
 
 
-def _pairs_within(ids: list[str]) -> list[tuple[str, str]]:
-    n = len(ids)
-    iu, ju = np.triu_indices(n, k=1)
-    return [(ids[i], ids[j]) for i, j in zip(iu, ju)]
+def _sample(left: list[str], right: list[str], pairs, p: float, rng) -> list[tuple[str, str]]:
+    """Keep each candidate ``(left[i], right[j])`` of the index arrays
+    ``pairs = (i, j)`` with probability p, one draw per candidate in order."""
+    i, j = pairs
+    hit = rng.random(len(i)) < p
+    return [(left[a], right[b]) for a, b in zip(i[hit].tolist(), j[hit].tolist())]
 
 
-def _sample(pairs: list[tuple[str, str]], p: float, rng) -> list[tuple[str, str]]:
-    if not pairs:
-        return []
-    mask = rng.random(len(pairs)) < p
-    return [pair for pair, hit in zip(pairs, mask) if hit]
+def _across(n_a: int, n_b: int):
+    """Every index pair (i, j) of two blocks in row-major order."""
+    return np.indices((n_a, n_b)).reshape(2, -1)
 
 
 def gen_er(n: int, p: float, seed: int = 0) -> Graph:
@@ -56,7 +56,7 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
     p = _check_prob("p", p)
     rng = derive_rng(seed, 0xE6)
     ids = _ids("v", n)
-    return Graph(_sample(_pairs_within(ids), p, rng), nodes=ids)
+    return Graph(_sample(ids, ids, np.triu_indices(n, 1), p, rng), nodes=ids)
 
 
 def gen_core_periphery(
@@ -81,10 +81,9 @@ def gen_core_periphery(
     rng = derive_rng(seed, 0xC0)
     core = _ids("c", n_core)
     peri = _ids("p", n_periphery)
-    edges = _sample(_pairs_within(core), p_cc, rng)
-    cross = [(c, q) for c in core for q in peri]
-    edges += _sample(cross, p_cp, rng)
-    edges += _sample(_pairs_within(peri), p_pp, rng)
+    edges = _sample(core, core, np.triu_indices(n_core, 1), p_cc, rng)
+    edges += _sample(core, peri, _across(n_core, n_periphery), p_cp, rng)
+    edges += _sample(peri, peri, np.triu_indices(n_periphery, 1), p_pp, rng)
     return Graph(edges, nodes=core + peri)
 
 
@@ -119,11 +118,10 @@ def gen_multi_core_community(
     blocks = [_ids(f"k{b}n", core_size) for b in range(n_cores)]
     edges: list[tuple[str, str]] = []
     for block in blocks:
-        edges += _sample(_pairs_within(block), p_in, rng)
+        edges += _sample(block, block, np.triu_indices(core_size, 1), p_in, rng)
     for i in range(n_cores):
         for j in range(i + 1, n_cores):
-            cross = [(u, v) for u in blocks[i] for v in blocks[j]]
-            edges += _sample(cross, p_out, rng)
+            edges += _sample(blocks[i], blocks[j], _across(core_size, core_size), p_out, rng)
     nodes = [u for block in blocks for u in block]
     return Graph(edges, nodes=nodes)
 
@@ -193,11 +191,6 @@ class ArchetypeSpec:
         if extras:
             raise ValueError(f"archetype {kind!r}: unknown parameters {sorted(extras)}")
         return cls(kind=kind, params=tuple(params), seed=seed)
-
-    def to_items(self) -> dict[str, str]:
-        out = {"kind": self.kind}
-        out.update({name: str(value) for name, value in self.params})
-        return out
 
     def build(self) -> Graph:
         kwargs = dict(self.params)

@@ -8,13 +8,14 @@ category for mapping, and medians are reported across demographic bins.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 import numpy as np
+
+from placenet.tables import number, read_csv, write_csv
 
 BIN_KEYS = ("rucc", "income_decile", "education_decile", "foreign_born_decile")
 
@@ -202,96 +203,65 @@ def log_pearson(
 
 def load_places_csv(path: str) -> list[PlaceRecord]:
     """Columns: page_id, region_id, categories (semicolon-joined)."""
-    records: list[PlaceRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"page_id", "region_id", "categories"}
-        if not reader.fieldnames or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            cats = tuple(sorted({c.strip() for c in row["categories"].split(";") if c.strip()}))
-            if not cats:
-                raise ValueError(
-                    f"{path}: line {line_no}: record {row['page_id']!r} rejected: "
-                    "empty category set"
-                )
-            records.append(PlaceRecord(row["page_id"], row["region_id"], cats))
-    return records
+
+    def record(page_id: str, region_id: str, categories: str) -> PlaceRecord:
+        cats = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
+        if not cats:
+            raise ValueError(f"record {page_id!r} rejected: empty category set")
+        return PlaceRecord(page_id, region_id, cats)
+
+    return read_csv(path, ["page_id", "region_id", "categories"], record)[1]
 
 
 def load_regions_csv(path: str) -> dict[str, RegionInfo]:
     """Columns: region_id, population, rucc, income, education, foreign_born_share."""
-    regions: dict[str, RegionInfo] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"region_id", "population", "rucc", "income", "education",
-                    "foreign_born_share"}
-        if not reader.fieldnames or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                regions[row["region_id"]] = RegionInfo(
-                    population=int(row["population"]),
-                    rucc=int(row["rucc"]),
-                    income=float(row["income"]),
-                    education=float(row["education"]),
-                    foreign_born_share=float(row["foreign_born_share"]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}")
-    return regions
+
+    def region(region_id, population, rucc, income, education, share):
+        return region_id, RegionInfo(
+            population=number(population, int),
+            rucc=number(rucc, int),
+            income=number(income),
+            education=number(education),
+            foreign_born_share=number(share),
+        )
+
+    columns = ["region_id", "population", "rucc", "income", "education", "foreign_born_share"]
+    return dict(read_csv(path, columns, region)[1])
 
 
 def load_external_counts_csv(path: str) -> dict[str, dict[str, float]]:
     """Columns: region_id, category, count. Returns category -> region -> count."""
     out: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"region_id", "category", "count"}
-        if not reader.fieldnames or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                value = float(row["count"])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad count {row['count']!r}")
-            out.setdefault(row["category"], {})[row["region_id"]] = value
+    _, rows = read_csv(path, ["region_id", "category", "count"],
+                       lambda region_id, category, count: (region_id, category, number(count)))
+    for region_id, category, count in rows:
+        out.setdefault(category, {})[region_id] = count
     return out
 
 
 def write_prevalence_csv(
     path: str, table: Mapping[tuple[str, str], PrevalenceEntry]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region_id", "category", "weighted_count", "per_1000", "decile"])
-        for (region, cat) in sorted(table):
-            e = table[(region, cat)]
-            writer.writerow(
-                [region, cat, repr(e.weighted_count), repr(e.per_1000), e.decile]
-            )
+    write_csv(path, ["region_id", "category", "weighted_count", "per_1000", "decile"], (
+        [region, cat, repr(e.weighted_count), repr(e.per_1000), e.decile]
+        for (region, cat), e in sorted(table.items())
+    ))
 
 
 def write_bin_medians_csv(
     path: str, medians_by_key: Mapping[str, Mapping[int, Mapping[str, float]]]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_key", "bin", "category", "median_per_1000"])
-        for key in sorted(medians_by_key):
-            for bucket in sorted(medians_by_key[key]):
-                for cat in sorted(medians_by_key[key][bucket]):
-                    writer.writerow(
-                        [key, bucket, cat, repr(medians_by_key[key][bucket][cat])]
-                    )
+    write_csv(path, ["bin_key", "bin", "category", "median_per_1000"], (
+        [key, bucket, cat, repr(medians[cat])]
+        for key in sorted(medians_by_key)
+        for bucket, medians in sorted(medians_by_key[key].items())
+        for cat in sorted(medians)
+    ))
 
 
 def write_correlation_csv(
     path: str, results: Mapping[str, LogPearsonResult]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "r", "n_pairs", "n_dropped"])
-        for cat in sorted(results):
-            res = results[cat]
-            writer.writerow([cat, repr(res.r), res.n_pairs, res.n_dropped])
+    write_csv(path, ["category", "r", "n_pairs", "n_dropped"], (
+        [cat, repr(res.r), res.n_pairs, res.n_dropped] for cat, res in sorted(results.items())
+    ))

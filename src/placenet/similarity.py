@@ -8,7 +8,6 @@ orientation-folded to max(auc, 1 - auc).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,54 +15,51 @@ import numpy as np
 from placenet.features import feature_names
 from placenet.forest import ForestParams, cross_validated_auc
 from placenet.seeding import derive_seed
+from placenet.tables import number, read_csv, write_csv
 
 
 class Ensemble:
-    """Labelled collection: category name -> list of (graph id, features).
+    """The feature table: graph ``ids[i]`` of category ``categories[i]`` has
+    feature vector ``X[i]``.
 
-    Graph ids must be unique across the whole ensemble and all vectors must
-    share one dimension (18 for the canonical feature set).
+    Built once and read-only. Graph ids are unique and every row is a
+    finite vector of one dimension (18 for the canonical feature set).
     """
 
-    def __init__(self):
-        self._cats: dict[str, list[tuple[str, np.ndarray]]] = {}
-        self._seen: set[str] = set()
-        self._dim: int | None = None
+    def __init__(self, ids, categories, X):
+        X = np.array(X, dtype=float)
+        if X.ndim != 2 or not len(ids) == len(categories) == len(X):
+            raise ValueError("an ensemble needs one id, category and feature row per graph")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"graph {ids[bad[0]]!r}: features must be finite")
+        self.ids = tuple(ids)
+        if len(set(self.ids)) < len(self.ids):
+            dup = next(g for g in self.ids if self.ids.count(g) > 1)
+            raise ValueError(f"duplicate graph id {dup!r}")
+        X.setflags(write=False)
+        self.categories = np.array(categories, dtype=object)
+        self.categories.setflags(write=False)
+        self.X = X
 
-    def add(self, category: str, graph_id: str, features) -> None:
-        vec = np.asarray(features, dtype=float)
-        if vec.ndim != 1:
-            raise ValueError(f"graph {graph_id!r}: features must be a flat vector")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"graph {graph_id!r}: features must be finite")
-        if self._dim is None:
-            self._dim = len(vec)
-        elif len(vec) != self._dim:
-            raise ValueError(
-                f"graph {graph_id!r}: expected {self._dim} features, got {len(vec)}"
-            )
-        if graph_id in self._seen:
-            raise ValueError(f"duplicate graph id {graph_id!r}")
-        self._seen.add(graph_id)
-        self._cats.setdefault(category, []).append((graph_id, vec))
+    @classmethod
+    def from_rows(cls, rows) -> "Ensemble":
+        """The table of ``(category, graph id, feature vector)`` rows, in order."""
+        rows = [(cat, graph_id, np.asarray(vec, dtype=float)) for cat, graph_id, vec in rows]
+        for _, graph_id, vec in rows:
+            if vec.ndim != 1 or len(vec) != len(rows[0][2]):
+                raise ValueError(
+                    f"graph {graph_id!r}: expected a flat vector of {len(rows[0][2])} features"
+                )
+        X = [vec for *_, vec in rows] if rows else np.empty((0, 0))
+        return cls([r[1] for r in rows], [r[0] for r in rows], X)
 
     def category_names(self) -> list[str]:
-        return sorted(self._cats)
-
-    def members(self, category: str) -> list[tuple[str, np.ndarray]]:
-        if category not in self._cats:
-            raise KeyError(category)
-        return list(self._cats[category])
-
-    def size(self, category: str) -> int:
-        return len(self.members(category))
-
-    def matrix(self, category: str) -> np.ndarray:
-        return np.vstack([vec for _, vec in self.members(category)])
+        return sorted(set(self.categories))
 
     @property
-    def dim(self) -> int | None:
-        return self._dim
+    def dim(self) -> int:
+        return self.X.shape[1]
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,10 @@ def auc_matrix(
     cats = ensemble.category_names()
     if len(cats) < 2:
         raise ValueError("auc_matrix requires at least 2 categories")
+    rows = {c: ensemble.X[ensemble.categories == c] for c in cats}
     for c in cats:
-        if ensemble.size(c) < folds:
-            raise ValueError(
-                f"category {c!r} has {ensemble.size(c)} graphs; needs >= {folds}"
-            )
+        if len(rows[c]) < folds:
+            raise ValueError(f"category {c!r} has {len(rows[c])} graphs; needs >= {folds}")
     k = len(cats)
     values = np.full((k, k), 0.5)
     importance_sum = None
@@ -106,8 +101,8 @@ def auc_matrix(
     for i in range(k):
         for j in range(i + 1, k):
             result = cross_validated_auc(
-                ensemble.matrix(cats[i]),
-                ensemble.matrix(cats[j]),
+                rows[cats[i]],
+                rows[cats[j]],
                 folds=folds,
                 seed=derive_seed(seed, 37, pair_index),
                 params=params,
@@ -178,24 +173,16 @@ def representative_distances(
     sqrt(sum_f w_f (r_f - rbar_f)^2); ``weight_mode="presquare"`` uses
     sqrt(sum_f (w_f (r_f - rbar_f))^2) instead.
     """
-    members = ensemble.members(category)  # KeyError for unknown categories
-    if not members:
+    members = np.flatnonzero(ensemble.categories == category)
+    if not members.size:
         raise KeyError(category)
     weights = np.asarray(importance, dtype=float)
     if weights.shape != (ensemble.dim,):
         raise ValueError(f"importance must have dimension {ensemble.dim}")
     if rank_scope == "pooled":
-        rows: list[np.ndarray] = []
-        member_rows: list[int] = []
-        for cat in ensemble.category_names():
-            for graph_id, vec in ensemble.members(cat):
-                if cat == category:
-                    member_rows.append(len(rows))
-                rows.append(vec)
-        ranks = _average_ranks(np.vstack(rows))
-        cat_ranks = ranks[member_rows]
+        cat_ranks = _average_ranks(ensemble.X)[members]
     elif rank_scope == "per_category":
-        cat_ranks = _average_ranks(ensemble.matrix(category))
+        cat_ranks = _average_ranks(ensemble.X[members])
     else:
         raise ValueError(f"unknown rank_scope {rank_scope!r}")
     mean_rank = cat_ranks.mean(axis=0)
@@ -207,7 +194,7 @@ def representative_distances(
     else:
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     dists = np.sqrt(d2)
-    return [(graph_id, float(d)) for (graph_id, _), d in zip(members, dists)]
+    return [(ensemble.ids[i], float(d)) for i, d in zip(members, dists)]
 
 
 def representative_graph(
@@ -227,11 +214,10 @@ def representative_graph(
 
 def write_auc_matrix_csv(matrix: AucMatrix, path: str) -> None:
     """Header row/column of category names; 4-decimal values."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category"] + list(matrix.categories))
-        for i, cat in enumerate(matrix.categories):
-            writer.writerow([cat] + [f"{v:.4f}" for v in matrix.values[i]])
+    write_csv(path, ["category"] + list(matrix.categories), (
+        [cat] + [f"{v:.4f}" for v in matrix.values[i]]
+        for i, cat in enumerate(matrix.categories)
+    ))
 
 
 def write_importance_csv(path: str, importance, names: list[str] | None = None) -> None:
@@ -239,25 +225,14 @@ def write_importance_csv(path: str, importance, names: list[str] | None = None) 
     imp = np.asarray(importance, dtype=float)
     canonical = _default_names(len(imp)) if names is None else list(names)
     rank_of = dict(global_importance_ranking(imp, canonical))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "importance", "rank"])
-        for name, value in zip(canonical, imp):
-            writer.writerow([name, repr(float(value)), rank_of[name]])
+    write_csv(path, ["feature", "importance", "rank"], (
+        [name, repr(float(value)), rank_of[name]] for name, value in zip(canonical, imp)
+    ))
 
 
 def read_importance_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read back (feature names, importance values) in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["feature", "importance"]:
-            raise ValueError(f"{path}: missing importance CSV header")
-        names: list[str] = []
-        values: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {line_no}: expected >= 2 cells")
-            names.append(row[0])
-            values.append(float(row[1]))
-    return names, np.asarray(values, dtype=float)
+    _, rows = read_csv(path, ["feature", "importance"], lambda name, value: (
+        name, number(value)
+    ))
+    return [name for name, _ in rows], np.array([value for _, value in rows], dtype=float)

@@ -1,0 +1,85 @@
+"""The on-disk table formats: CSV with a header row, and JSON lines.
+
+Files are UTF-8 with ``\\n`` line endings. Readers skip blank lines and
+report bad input as ``ValueError("<path>: line N: ...")``, where N is the
+physical line of the file.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from typing import Callable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(
+    path, columns: Sequence[str] | None, parse: Callable[..., T]
+) -> tuple[list[str], list[T]]:
+    """Header and ``parse(*cells)`` of every data row of a CSV table.
+
+    The header must name every one of ``columns``; ``parse`` gets the
+    row's cells for those columns in that order, or all of its cells when
+    ``columns`` is None. Every row must have as many cells as the header.
+    A ``ValueError`` from ``parse`` is reported with the row's line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns or () if c not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
+        pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
+        out: list[T] = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, found {len(row)}")
+                out.append(parse(*[row[i] for i in pick]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, out
+
+
+def number(cell: str, kind: type = float):
+    """A finite ``float`` (or an ``int``) from one cell; ``ValueError`` otherwise."""
+    value = kind(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+def write_jsonl(path, objects: Iterable[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
+
+
+def read_jsonl(path, parse: Callable[[object], T]) -> list[T]:
+    """``parse(object)`` of every non-blank line of a JSON-lines file.
+
+    Invalid JSON, and a ``ValueError`` from ``parse``, are reported with
+    the line.
+    """
+    out: list[T] = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return out

@@ -217,14 +217,14 @@ def test_c5_representative_selection():
         expected, _ = brute.representative_by_definition(items, "cat", weights)
 
         def build(transform_col=None, fn=None):
-            ens = Ensemble()
+            table = []
             for cat, rows in items.items():
                 for gid, vec in rows:
                     v = list(vec)
                     if transform_col is not None:
                         v[transform_col] = fn(v[transform_col])
-                    ens.add(cat, gid, v)
-            return ens
+                    table.append((cat, gid, v))
+            return Ensemble.from_rows(table)
 
         assert representative_graph(build(), "cat", weights) == expected
 

@@ -359,3 +359,84 @@ def test_allowlist_without_seeds_is_digested(tmp_path):
     assert meta["options"]["seeds"] is None
     assert sorted(meta["inputs"]) == ["allow.txt", "corpus.jsonl"]
     assert sorted(meta["outputs"]) == ["losses.csv", "model.tsv"]
+
+
+# ---------------------------------------------------------------------------
+# input tables: every bad row exits 2 naming the file and its physical line
+
+GOOD_INPUTS = {
+    "manifest.jsonl": '{"category": "c", "id": "g1", "path": "g1.edges"}\n'
+                      '{"category": "d", "id": "g2", "path": "g2.edges"}\n',
+    "g1.edges": "a b\n",
+    "g2.edges": "a b\nb c\n",
+    "features.csv": "graph_id,x,y\ng1,1.0,2.0\ng2,3.0,4.0\n",
+    "importance.csv": "feature,importance,rank\nx,0.75,1\ny,0.25,2\n",
+    "corpus.jsonl": '{"categories": ["A", "B"]}\n{"categories": ["B", "C"]}\n',
+    "places.csv": "page_id,region_id,categories\np1,r1,cafe\np2,r2,bar;cafe\n",
+    "regions.csv": "region_id,population,rucc,income,education,foreign_born_share\n"
+                   "r1,1000,1,50000,0.3,0.1\nr2,2000,5,40000,0.2,0.05\n",
+    "external.csv": "region_id,category,count\nr1,cafe,3\nr2,cafe,5\n",
+}
+
+REPRESENT = ["represent", "--features", "features.csv", "--manifest", "manifest.jsonl",
+             "--importance", "importance.csv"]
+PREVALENCE = ["prevalence", "--places", "places.csv", "--regions", "regions.csv",
+              "--external", "external.csv"]
+COMMAND_OF = {
+    "manifest.jsonl": ["features", "--manifest", "manifest.jsonl"],
+    "corpus.jsonl": ["embed", "--corpus", "corpus.jsonl", "--dim", "2", "--epochs", "1"],
+    "features.csv": REPRESENT,
+    "importance.csv": REPRESENT,
+    "places.csv": PREVALENCE,
+    "regions.csv": PREVALENCE,
+    "external.csv": PREVALENCE,
+}
+
+# (table, case, text, physical line of the bad row)
+BAD_TABLES = [
+    ("manifest.jsonl", "short", '{"category": "c", "id": "g1", "path": "g1.edges"}\n'
+                                '{"id": "g2", "path": "g2.edges"}\n', 2),
+    ("manifest.jsonl", "after blank", '{"category": "c", "id": "g1", "path": "g1.edges"}\n'
+                                      "\n{not json\n", 3),
+    ("corpus.jsonl", "short", '{"categories": ["A", "B"]}\n{"categories": []}\n', 2),
+    ("corpus.jsonl", "after blank", '{"categories": ["A", "B"]}\n\n["A"]\n', 3),
+    ("features.csv", "short", "graph_id,x,y\ng1,1.0,2.0\ng2,3.0\n", 3),
+    ("features.csv", "nan", "graph_id,x,y\ng1,1.0,2.0\ng2,nan,4.0\n", 3),
+    ("features.csv", "after blank", "graph_id,x,y\ng1,1.0,2.0\n\ng2,3.0,4.0,5.0\n", 4),
+    ("importance.csv", "short", "feature,importance,rank\nx,0.75,1\ny\n", 3),
+    ("importance.csv", "nan", "feature,importance,rank\nx,0.75,1\ny,nan,2\n", 3),
+    ("importance.csv", "after blank", "feature,importance,rank\nx,0.75,1\n\ny,oops,2\n", 4),
+    ("places.csv", "short", "page_id,region_id,categories\np1,r1,cafe\np2,r2\n", 3),
+    ("places.csv", "after blank", "page_id,region_id,categories\np1,r1,cafe\n\np2,r2,;\n", 4),
+    ("regions.csv", "short", "region_id,population,rucc,income,education,foreign_born_share\n"
+                             "r1,1000,1,50000,0.3,0.1\nr2,2000,5,40000,0.2\n", 3),
+    ("regions.csv", "nan", "region_id,population,rucc,income,education,foreign_born_share\n"
+                           "r1,1000,1,50000,0.3,0.1\nr2,2000,5,nan,0.2,0.05\n", 3),
+    ("regions.csv", "after blank",
+     "region_id,population,rucc,income,education,foreign_born_share\n"
+     "r1,1000,1,50000,0.3,0.1\n\nr2,2000,12,40000,0.2,0.05\n", 4),
+    ("external.csv", "short", "region_id,category,count\nr1,cafe,3\nr2,cafe\n", 3),
+    ("external.csv", "nan", "region_id,category,count\nr1,cafe,3\nr2,cafe,nan\n", 3),
+    ("external.csv", "after blank", "region_id,category,count\nr1,cafe,3\n\nr2,cafe,x\n", 4),
+]
+
+
+def run_in(root, argv, **replace):
+    for name, text in {**GOOD_INPUTS, **replace}.items():
+        (root / name).write_text(text)
+    resolved = [str(root / arg) if arg in GOOD_INPUTS else arg for arg in argv]
+    return main(resolved + ["--out-dir", str(root / "out")])
+
+
+@pytest.mark.parametrize("table", sorted(COMMAND_OF))
+def test_good_input_tables_pass(tmp_path, table):
+    assert run_in(tmp_path, COMMAND_OF[table]) == 0
+
+
+@pytest.mark.parametrize("table, case, text, line", BAD_TABLES,
+                         ids=[f"{table}-{case}" for table, case, *_ in BAD_TABLES])
+def test_bad_input_table_names_file_and_line(tmp_path, capsys, table, case, text, line):
+    assert run_in(tmp_path, COMMAND_OF[table], **{table: text}) == 2
+    err = capsys.readouterr().err
+    assert f"{table}: line {line}:" in err, err
+    assert "Traceback" not in err

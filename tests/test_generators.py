@@ -14,7 +14,7 @@ from placenet.generators import (
     gen_er,
     gen_multi_core_community,
 )
-from placenet.graph import connected_components
+from placenet.graph import Graph, connected_components
 
 
 def test_er_p0_is_edgeless_with_all_nodes():
@@ -99,16 +99,12 @@ def test_parameter_validation():
 
 
 def test_archetype_round_trip_and_build():
-    spec = ArchetypeSpec.from_items(
-        {"kind": "core_periphery", "n_core": "4", "n_periphery": "6",
-         "p_cc": "1.0", "p_cp": "0.0", "p_pp": "0.0"},
-        seed=11,
-    )
+    items = {"kind": "core_periphery", "n_core": "4", "n_periphery": "6",
+             "p_cc": "1.0", "p_cp": "0.0", "p_pp": "0.0"}
+    spec = ArchetypeSpec.from_items(items, seed=11)
     g = spec.build()
     assert g == gen_core_periphery(4, 6, 1.0, 0.0, 0.0, seed=11)
-    items = spec.to_items()
-    assert items["kind"] == "core_periphery"
-    rebuilt = ArchetypeSpec.from_items(items, seed=11)
+    rebuilt = ArchetypeSpec.from_items(dict(items), seed=11)
     assert rebuilt.build() == g
 
 
@@ -123,3 +119,26 @@ def test_archetype_validation_errors():
         ArchetypeSpec.from_items(
             {"kind": "erdos_renyi", "n": "5", "p": "0.1", "zzz": "1"}, seed=0
         )
+
+
+def _tuple_sample(pairs, p, rng):
+    """The candidate-list sampling the generators are defined by: one draw
+    per candidate pair, in order, none for an empty list."""
+    if not pairs:
+        return []
+    return [pair for pair, hit in zip(pairs, rng.random(len(pairs)) < p) if hit]
+
+
+@pytest.mark.parametrize("n_core, n_periphery", [(0, 7), (5, 0), (6, 9), (13, 40)])
+def test_core_periphery_matches_candidate_list_definition(n_core, n_periphery):
+    from placenet.generators import _ids
+    from placenet.seeding import derive_rng
+
+    rng = derive_rng(21, 0xC0)
+    core, peri = _ids("c", n_core), _ids("p", n_periphery)
+    within = lambda ids: [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = _tuple_sample(within(core), 0.5, rng)
+    edges += _tuple_sample([(c, q) for c in core for q in peri], 0.2, rng)
+    edges += _tuple_sample(within(peri), 0.1, rng)
+    assert gen_core_periphery(n_core, n_periphery, 0.5, 0.2, 0.1, seed=21) == \
+        Graph(edges, nodes=core + peri)

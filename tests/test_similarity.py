@@ -29,11 +29,11 @@ from placenet.similarity import (
 def make_ensemble(spec, dim=4, seed=0):
     """spec: {category: (n_samples, mean_shift)}"""
     rng = derive_rng(seed)
-    ens = Ensemble()
-    for cat, (n, shift) in spec.items():
-        for i in range(n):
-            ens.add(cat, f"{cat}_{i:03d}", rng.normal(size=dim) + shift)
-    return ens
+    return Ensemble.from_rows(
+        (cat, f"{cat}_{i:03d}", rng.normal(size=dim) + shift)
+        for cat, (n, shift) in spec.items()
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +68,10 @@ def test_twelve_categories_yield_66_pairs():
 def test_identical_distribution_pair_stays_near_half():
     rng = derive_rng(5)
     pool = rng.normal(size=(100, 5))
-    ens = Ensemble()
-    for i in range(50):
-        ens.add("x", f"x_{i:03d}", pool[i])
-    for i in range(50):
-        ens.add("y", f"y_{i:03d}", pool[50 + i])
+    ens = Ensemble.from_rows(
+        [("x", f"x_{i:03d}", pool[i]) for i in range(50)]
+        + [("y", f"y_{i:03d}", pool[50 + i]) for i in range(50)]
+    )
     matrix, _ = auc_matrix(ens, folds=10, seed=8, params=ForestParams(n_trees=20))
     assert 0.5 <= matrix.values[0, 1] <= 0.65
 
@@ -107,20 +106,31 @@ def test_matrix_determinism():
 
 
 def test_ensemble_rejects_duplicates_and_ragged_vectors():
-    ens = Ensemble()
-    ens.add("a", "g1", [1.0, 2.0])
     with pytest.raises(ValueError):
-        ens.add("a", "g1", [3.0, 4.0])
+        Ensemble.from_rows([("a", "g1", [1.0, 2.0]), ("a", "g1", [3.0, 4.0])])
     with pytest.raises(ValueError):
-        ens.add("b", "g2", [1.0, 2.0, 3.0])
+        Ensemble.from_rows([("a", "g1", [1.0, 2.0]), ("b", "g2", [1.0, 2.0, 3.0])])
+    with pytest.raises(ValueError, match="duplicate graph id 'g1'"):
+        Ensemble(["g1", "g1"], ["a", "b"], [[1.0], [2.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ensemble_rejects_non_finite_vectors(bad):
-    ens = Ensemble()
     with pytest.raises(ValueError, match="graph 'g7'.*finite"):
-        ens.add("a", "g7", [1.0, bad, 3.0])
-    assert ens.category_names() == []
+        Ensemble.from_rows([("a", "g1", [1.0, 2.0, 3.0]), ("a", "g7", [1.0, bad, 3.0])])
+    with pytest.raises(ValueError, match="graph 'g7'.*finite"):
+        Ensemble(["g7"], ["a"], [[1.0, bad, 3.0]])
+
+
+def test_ensemble_is_one_read_only_table():
+    ens = Ensemble.from_rows([("b", "g1", [1.0, 2.0]), ("a", "g2", [3.0, 4.0]),
+                              ("b", "g3", [5.0, 6.0])])
+    assert ens.ids == ("g1", "g2", "g3")
+    assert list(ens.categories) == ["b", "a", "b"]
+    assert ens.category_names() == ["a", "b"]
+    assert ens.X.shape == (3, 2) and ens.dim == 2
+    with pytest.raises(ValueError):
+        ens.X[0, 0] = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +183,11 @@ def test_dominant_feature_ranks_first():
 
 def test_separable_ensemble_puts_signal_feature_first():
     rng = derive_rng(10)
-    ens = Ensemble()
+    rows = []
     for i in range(12):
-        ens.add("a", f"a{i}", np.concatenate([[0.0], rng.normal(size=3)]))
-        ens.add("b", f"b{i}", np.concatenate([[1.0], rng.normal(size=3)]))
+        rows.append(("a", f"a{i}", np.concatenate([[0.0], rng.normal(size=3)])))
+        rows.append(("b", f"b{i}", np.concatenate([[1.0], rng.normal(size=3)])))
+    ens = Ensemble.from_rows(rows)
     _, importance = auc_matrix(ens, folds=3, seed=5, params=ForestParams(n_trees=10))
     ranking = global_importance_ranking(importance, ["f0", "f1", "f2", "f3"])
     assert ranking[0][0] == "f0"
@@ -187,17 +198,15 @@ def test_separable_ensemble_puts_signal_feature_first():
 
 
 def test_single_feature_median_rank_selected():
-    ens = Ensemble()
-    for i, value in enumerate([10.0, 20.0, 30.0, 40.0, 50.0]):
-        ens.add("solo", f"g{i}", [value])
+    ens = Ensemble.from_rows(
+        ("solo", f"g{i}", [value]) for i, value in enumerate([10.0, 20.0, 30.0, 40.0, 50.0])
+    )
     rep = representative_graph(ens, "solo", [1.0])
     assert rep == "g2"  # rank 3 of ranks 1..5
 
 
 def test_identical_members_tie_break_smallest_id():
-    ens = Ensemble()
-    for gid in ["g9", "g3", "g7"]:
-        ens.add("c", gid, [1.0, 2.0])
+    ens = Ensemble.from_rows(("c", gid, [1.0, 2.0]) for gid in ["g9", "g3", "g7"])
     assert representative_graph(ens, "c", [0.5, 0.5]) == "g3"
 
 
@@ -215,10 +224,9 @@ def test_zero_weight_feature_is_ignored():
             ("h1", [5.0, 1.0]),
         ],
     }
-    ens = Ensemble()
-    for cat, rows in items.items():
-        for gid, vec in rows:
-            ens.add(cat, gid, vec)
+    ens = Ensemble.from_rows(
+        (cat, gid, vec) for cat, rows in items.items() for gid, vec in rows
+    )
     expected, dists = brute.representative_by_definition(items, "cat", [1.0, 0.0])
     got = representative_graph(ens, "cat", [1.0, 0.0])
     assert got == expected
@@ -233,10 +241,9 @@ def test_monotone_transform_invariance():
         "a": [(f"a{i}", list(rng.normal(size=3))) for i in range(6)],
         "b": [(f"b{i}", list(rng.normal(size=3) + 1)) for i in range(5)],
     }
-    ens = Ensemble()
-    for cat, rows in items.items():
-        for gid, vec in rows:
-            ens.add(cat, gid, vec)
+    ens = Ensemble.from_rows(
+        (cat, gid, vec) for cat, rows in items.items() for gid, vec in rows
+    )
     weights = [0.5, 0.3, 0.2]
     baseline = representative_graph(ens, "a", weights)
     for trial in range(20):
@@ -244,44 +251,44 @@ def test_monotone_transform_invariance():
         col = int(trng.integers(0, 3))
         scale = float(trng.uniform(0.5, 3.0))
         shift = float(trng.uniform(-2.0, 2.0))
-        ens2 = Ensemble()
+        transformed = []
         for cat, rows in items.items():
             for gid, vec in rows:
                 tv = list(vec)
                 tv[col] = np.exp(scale * tv[col]) + shift
-                ens2.add(cat, gid, tv)
+                transformed.append((cat, gid, tv))
+        ens2 = Ensemble.from_rows(transformed)
         assert representative_graph(ens2, "a", weights) == baseline
 
 
 def test_importance_scaling_invariance():
     rng = derive_rng(14)
-    ens = Ensemble()
-    for i in range(7):
-        ens.add("z", f"z{i}", rng.normal(size=4))
+    ens = Ensemble.from_rows(("z", f"z{i}", rng.normal(size=4)) for i in range(7))
     w = np.array([0.4, 0.3, 0.2, 0.1])
     assert representative_graph(ens, "z", w) == representative_graph(ens, "z", 10 * w)
 
 
 def test_per_category_scope_and_presquare_mode_run():
     rng = derive_rng(15)
-    ens = Ensemble()
+    rows = []
     for i in range(5):
-        ens.add("m", f"m{i}", rng.normal(size=2))
-        ens.add("n", f"n{i}", rng.normal(size=2))
+        rows.append(("m", f"m{i}", rng.normal(size=2)))
+        rows.append(("n", f"n{i}", rng.normal(size=2)))
+    ens = Ensemble.from_rows(rows)
     w = [1.0, 0.0]
     pooled = representative_graph(ens, "m", w)
     scoped = representative_graph(ens, "m", w, rank_scope="per_category")
     pre = representative_graph(ens, "m", w, weight_mode="presquare")
     assert pooled == scoped == pre  # with weight (1, 0) all variants agree
-    items = {c: [(gid, list(vec)) for gid, vec in ens.members(c)]
+    items = {c: [(gid, list(vec)) for gid, cat, vec in zip(ens.ids, ens.categories, ens.X)
+                 if cat == c]
              for c in ens.category_names()}
     expected, _ = brute.representative_by_definition(items, "m", w, pooled=False)
     assert scoped == expected
 
 
 def test_unknown_category_raises():
-    ens = Ensemble()
-    ens.add("a", "g", [1.0])
+    ens = Ensemble.from_rows([("a", "g", [1.0])])
     with pytest.raises(KeyError):
         representative_graph(ens, "nope", [1.0])
 
