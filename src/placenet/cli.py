@@ -162,30 +162,59 @@ def _safe_name(text: str) -> str:
 # wrote plus any input digests beyond those of its file arguments.
 
 
-def _cmd_generate(args, out_dir: Path):
+def _read_config(path: Path) -> configparser.ConfigParser:
+    """The INI archetype config; a syntax error names the file and line."""
     parser = configparser.ConfigParser()
-    with open(args.config, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: expected a [section] header, "
+                         f"got {exc.line.strip()!r}")
+    except configparser.ParsingError as exc:
+        raise ValueError(f"{path}: line {exc.errors[0][0]}: expected 'key = value'")
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: option {exc.option!r} repeats "
+                         f"in section [{exc.section}]")
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: section [{exc.section}] repeats")
+    return parser
+
+
+def _cmd_generate(args, out_dir: Path):
+    parser = _read_config(args.config)
     (out_dir / "graphs").mkdir(exist_ok=True)
+
+    def integer(section: str, key: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{args.config}: section [{section}]: {key} must be an "
+                             f"integer, got {text!r}")
 
     written: list[str] = []
     manifest: list[dict] = []
     for section_index, section in enumerate(parser.sections()):
-        items = dict(parser.items(section))
-        count = int(items.pop("count", "1"))
+        try:
+            items = dict(parser.items(section))
+        except configparser.InterpolationError as exc:
+            raise ValueError(f"{args.config}: section [{section}]: {exc}")
+        count = integer(section, "count", items.pop("count", "1"))
         if count < 1:
-            raise ValueError(f"section [{section}]: count must be >= 1")
+            raise ValueError(f"{args.config}: section [{section}]: count must be >= 1")
         category = items.pop("category", section)
         section_seed = items.pop("seed", None)
+        if section_seed is not None:
+            section_seed = integer(section, "seed", section_seed)
         for i in range(count):
             if section_seed is not None:
-                graph_seed = derive_seed(int(section_seed), i)
+                graph_seed = derive_seed(section_seed, i)
             else:
                 graph_seed = derive_seed(args.seed, section_index, i)
             try:
                 spec = ArchetypeSpec.from_items(items, seed=graph_seed)
             except ValueError as exc:
-                raise ValueError(f"section [{section}]: {exc}")
+                raise ValueError(f"{args.config}: section [{section}]: {exc}")
             graph_id = f"{section}_{i:03d}"
             rel = f"graphs/{graph_id}.edges"
             (out_dir / rel).write_text(
@@ -296,7 +325,10 @@ def _cmd_embed(args, out_dir: Path):
     if not args.seeds:
         return written, {}
 
-    seeds_map = json.loads(args.seeds.read_text(encoding="utf-8"))
+    try:
+        seeds_map = json.loads(args.seeds.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.seeds}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(seeds_map, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
     ):

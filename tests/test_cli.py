@@ -288,6 +288,41 @@ def test_malformed_k_set_is_usage_error(tmp_path, capsys, k_set):
     assert "--k-set" in capsys.readouterr().err
 
 
+ER_SECTION = "[er]\nkind = erdos_renyi\nn = 6\np = 0.3\n"
+BAD_CONFIGS = [
+    ("no header", "garbage line\n" + ER_SECTION, "line 1: expected a [section] header"),
+    ("bad line", ER_SECTION + "garbage\n", "line 5: expected 'key = value'"),
+    ("repeated section", ER_SECTION + ER_SECTION, "line 5: section [er] repeats"),
+    ("repeated option", ER_SECTION + "n = 7\n", "line 5: option 'n' repeats in section [er]"),
+    ("count", ER_SECTION + "count = two\n",
+     "section [er]: count must be an integer, got 'two'"),
+    ("seed", ER_SECTION + "seed = 1.5\n", "section [er]: seed must be an integer, got '1.5'"),
+    ("interpolation", ER_SECTION.replace("0.3", "30%"), "section [er]: '%' must be followed"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in BAD_CONFIGS],
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_bad_config_names_file_and_place(tmp_path, capsys, text, message):
+    config = tmp_path / "gen.ini"
+    config.write_text(text)
+    assert main(["generate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"gen.ini: {message}" in err, err
+    assert "Traceback" not in err
+
+
+def test_invalid_seeds_json_names_file_line_and_column(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('{"restaurants": "CAFE",\n}\n')
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(tmp_path / "emb"),
+                 "--dim", "4", "--epochs", "1", "--seeds", str(seeds)]) == 2
+    assert "seeds.json: line 2 column 1: Expecting property name" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # provenance
 

@@ -22,7 +22,13 @@ from placenet.features import (
     read_features_csv,
     write_features_csv,
 )
-from placenet.graph import Graph
+from placenet.generators import (
+    gen_core_periphery,
+    gen_dyad_triad_scatter,
+    gen_er,
+    gen_multi_core_community,
+)
+from placenet.graph import Graph, bfs_distances, largest_connected_component
 from placenet.seeding import derive_rng
 
 
@@ -170,6 +176,47 @@ def test_apl_source_sampling_is_deterministic_and_close():
     b = avg_path_length_lcc(g, sample_sources=20, seed=5)
     assert a == b
     assert a == pytest.approx(avg_path_length_lcc(g), rel=0.25)
+
+
+def connected_with_spare(n, seed):
+    """A random connected graph on n nodes (a random tree plus chords) and
+    a disjoint 5-node path, so the largest component has exactly n nodes."""
+    rng = derive_rng(seed, n)
+    ids = [f"n{i:04d}" for i in range(n)]
+    edges = [(ids[i], ids[int(rng.integers(i))]) for i in range(1, n)]
+    edges += [(ids[a], ids[b]) for a, b in rng.integers(n, size=(n // 4, 2)) if a != b]
+    edges += [(f"z{i}", f"z{i + 1}") for i in range(4)]
+    return Graph(edges)
+
+
+APL_GRAPHS = {
+    "er": lambda: gen_er(800, 0.008, seed=1),
+    "core_periphery": lambda: gen_core_periphery(60, 700, 0.5, 0.02, 0.002, seed=2),
+    "multi_core": lambda: gen_multi_core_community(3, 250, 0.04, 0.002, seed=3),
+    "scatter": lambda: gen_dyad_triad_scatter(300, 0.5, seed=4),
+    # one word, one word plus one source, one block plus one source
+    **{f"lcc{n}": (lambda n=n: connected_with_spare(n, 5)) for n in (63, 64, 65, 513)},
+    "path1500": lambda: path(1500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APL_GRAPHS))
+def test_apl_matches_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = APL_GRAPHS[name]()
+    lcc = nx.Graph(g.edges()).subgraph(brute.largest_component_nodes(g)).copy()
+    # both sides divide the same integer distance sum by n (n - 1)
+    assert avg_path_length_lcc(g) == nx.average_shortest_path_length(lcc)
+
+
+@pytest.mark.parametrize("sources", [5, 513])
+def test_apl_sampled_equals_per_source_bfs(sources):
+    g = gen_er(700, 0.01, seed=6)
+    lcc = largest_connected_component(g)
+    nodes, n = lcc.nodes(), lcc.node_count()
+    picks = np.sort(derive_rng(9, 0x0A71, n).choice(n, size=sources, replace=False))
+    total = sum(sum(bfs_distances(lcc, nodes[i]).values()) for i in picks)
+    assert avg_path_length_lcc(g, sample_sources=sources, seed=9) == total / (sources * (n - 1))
 
 
 # ---------------------------------------------------------------------------
