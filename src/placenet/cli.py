@@ -14,6 +14,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -144,6 +145,20 @@ def _k_set(text: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(ks))
 
 
+def _positive(kind):
+    """Argument type: a finite ``kind`` (``int`` or ``float``) value > 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} > 0, got {text!r}")
+        return value
+    return parse
+
+
 def _forest_params(args) -> ForestParams:
     return ForestParams(
         n_trees=args.n_trees,
@@ -236,16 +251,20 @@ def _cmd_features(args, out_dir: Path):
             graph = parse_edge_list(text)
         except GraphParseError as exc:
             raise ValueError(f"{gpath}: {exc}")
-        fv = compute_features(
-            graph,
-            args.k_set,
-            count_mode=args.count_mode,
-            lambda2_scope=args.lambda2_scope,
-            lambda2_tol=args.lambda2_tol,
-            lambda2_max_iter=args.lambda2_max_iter,
-            path_sample_sources=args.path_sample_sources or None,
-            path_sample_seed=args.seed,
-        )
+        try:
+            fv = compute_features(
+                graph,
+                args.k_set,
+                count_mode=args.count_mode,
+                lambda2_scope=args.lambda2_scope,
+                lambda2_tol=args.lambda2_tol,
+                lambda2_max_iter=args.lambda2_max_iter,
+                path_sample_sources=args.path_sample_sources or None,
+                path_sample_seed=args.seed,
+            )
+        except ConvergenceError as exc:
+            exc.args = (f"{gpath}: {exc}",)  # keeps exit 3; names the graph
+            raise
         rows.append((entry["id"], fv))
         graph_digests[entry["id"]] = _sha256_text(text)
     write_features_csv(str(out_dir / "features.csv"), rows, args.k_set)
@@ -409,8 +428,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-set", type=_k_set, default=DEFAULT_K_SET)
     p.add_argument("--count-mode", choices=["components", "nodes"], default="components")
     p.add_argument("--lambda2-scope", choices=["lcc", "global"], default="lcc")
-    p.add_argument("--lambda2-tol", type=float, default=1e-8)
-    p.add_argument("--lambda2-max-iter", type=int, default=10_000)
+    p.add_argument("--lambda2-tol", type=_positive(float), default=1e-8,
+                   help="eigenpair residual bound for components above 128 nodes; "
+                        "smaller ones use a dense eigensolver")
+    p.add_argument("--lambda2-max-iter", type=_positive(int), default=10_000,
+                   help="shift-invert iteration budget for components above "
+                        "128 nodes (exhausting it exits 3)")
     p.add_argument("--path-sample-sources", type=int, default=0,
                    help="BFS source sample size for huge components (0 = exact)")
 

@@ -36,6 +36,13 @@ DEFAULT_K_SET = (2, 4, 8, 16)
 # Sources per bit-parallel BFS sweep: 8 uint64 words per node.
 _BFS_BLOCK = 512
 
+# Largest component that gets lambda2 from a dense eigvalsh. On random
+# Laplacians of 100-200 nodes, eigvalsh gave the same bits under 1 and 2
+# OpenBLAS threads at every size up to 144 and different last bits at most
+# sizes from 148 on; the shift-invert iteration used above the cap gives
+# the same bits under both.
+_DENSE_MAX = 128
+
 _SCALAR_NAMES = (
     "n_nodes",
     "n_edges",
@@ -150,31 +157,26 @@ def degree_assortativity(g: Graph) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def avg_path_length_lcc(
-    g: Graph,
-    sample_sources: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Mean shortest-path length over node pairs of the largest component.
+@dataclass(frozen=True)
+class LccArrays:
+    """CSR adjacency of a graph's largest connected component.
 
-    Exact over all sources by default. When ``sample_sources`` is set and
-    the component is larger, distances are averaged over the BFS trees of
-    that many uniformly sampled source nodes instead (seeded,
-    deterministic). Components with fewer than 2 nodes map to 0.
-
-    The BFS runs bit-parallel (Then et al., PVLDB 2014): sources are taken
-    in blocks of 512, one bit each, and every level ORs the frontier bits
-    of each node's neighbours in one gather over the component's CSR
-    arrays. A level costs O(m) word operations for a whole block, so a
-    block costs O(m * eccentricity); the extra memory is that gather,
-    about 64 bytes per directed edge. Hop counts are summed as exact
-    integers, so the result equals a per-source BFS bit for bit.
+    Rows follow the component's sorted node ids: row ``i`` lists its
+    neighbours at ``indices[starts[i]:starts[i] + degrees[i]]``.
+    ``spanning`` is true when the component holds every node of the graph.
     """
+
+    starts: np.ndarray
+    indices: np.ndarray
+    degrees: np.ndarray
+    spanning: bool
+
+
+def lcc_arrays(g: Graph) -> LccArrays:
+    """Extract the largest connected component once, as CSR arrays."""
     lcc = largest_connected_component(g)
-    n = lcc.node_count()
-    if n < 2:
-        return 0.0
     nodes = lcc.nodes()
+    n = len(nodes)
     index = {u: i for i, u in enumerate(nodes)}
     degrees = np.fromiter((lcc.degree(u) for u in nodes), dtype=np.intp, count=n)
     starts = np.zeros(n, dtype=np.intp)
@@ -184,13 +186,45 @@ def avg_path_length_lcc(
         dtype=np.intp,
         count=2 * lcc.edge_count(),
     )
+    return LccArrays(starts, indices, degrees, n == g.node_count())
+
+
+def _as_lcc(g: Graph | LccArrays) -> LccArrays:
+    return g if isinstance(g, LccArrays) else lcc_arrays(g)
+
+
+def avg_path_length_lcc(
+    g: Graph | LccArrays,
+    sample_sources: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Mean shortest-path length over node pairs of the largest component.
+
+    ``g`` is a graph or the ``lcc_arrays`` of one. Exact over all sources
+    by default. When ``sample_sources`` is set and the component is larger,
+    distances are averaged over the BFS trees of that many uniformly
+    sampled source nodes instead (seeded, deterministic). Components with
+    fewer than 2 nodes map to 0.
+
+    The BFS runs bit-parallel (Then et al., PVLDB 2014): sources are taken
+    in blocks of 512, one bit each, and every level ORs the frontier bits
+    of each node's neighbours in one gather over the component's CSR
+    arrays. A level costs O(m) word operations for a whole block, so a
+    block costs O(m * eccentricity); the extra memory is that gather,
+    about 64 bytes per directed edge. Hop counts are summed as exact
+    integers, so the result equals a per-source BFS bit for bit.
+    """
+    lcc = _as_lcc(g)
+    n = len(lcc.degrees)
+    if n < 2:
+        return 0.0
     if sample_sources is not None and 0 < sample_sources < n:
         rng = derive_rng(seed, 0x0A71, n)
         sources = np.sort(rng.choice(n, size=sample_sources, replace=False))
     else:
         sources = np.arange(n)
     total = sum(
-        _distance_sum(starts, indices, sources[lo:lo + _BFS_BLOCK])
+        _distance_sum(lcc.starts, lcc.indices, sources[lo:lo + _BFS_BLOCK])
         for lo in range(0, len(sources), _BFS_BLOCK)
     )
     return total / (len(sources) * (n - 1))
@@ -223,48 +257,54 @@ def _distance_sum(starts: np.ndarray, indices: np.ndarray, sources: np.ndarray) 
 
 
 def algebraic_connectivity(
-    g: Graph,
+    g: Graph | LccArrays,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     scope: str = "lcc",
 ) -> float:
     """Second-smallest Laplacian eigenvalue (Fiedler value).
 
-    Computed on the largest connected component by default; with
-    ``scope="global"`` a disconnected graph returns exactly 0. Graphs whose
-    relevant component has fewer than 2 nodes map to 0.
+    ``g`` is a graph or the ``lcc_arrays`` of one. Computed on the largest
+    connected component by default; with ``scope="global"`` the result is
+    0 unless that component holds every node. Components with fewer than
+    2 nodes map to 0.
 
-    Uses shifted inverse iteration with the constant eigenvector projected
-    out of every iterate; accepts once the eigenpair residual drops to
-    ``tol`` (which bounds the eigenvalue error for symmetric matrices).
+    Components of at most 128 nodes get their Laplacian spectrum from a
+    dense symmetric eigensolver (``numpy.linalg.eigvalsh``), which needs no
+    iteration budget. Larger ones use shifted inverse iteration with the
+    constant eigenvector projected out of every iterate, accepted once the
+    eigenpair residual drops to ``tol`` (which bounds the eigenvalue error
+    for symmetric matrices); ``tol`` and ``max_iter`` bind only this
+    iterative path.
 
     Raises:
+        ValueError: for an unknown scope, a ``tol`` that is not finite and
+            > 0, or ``max_iter`` < 1.
         ConvergenceError: if the iteration budget is exhausted.
     """
-    if scope == "global":
-        if len(connected_components(g)) > 1:
-            return 0.0
-        h = g
-    elif scope == "lcc":
-        h = largest_connected_component(g)
-    else:
+    if scope not in ("lcc", "global"):
         raise ValueError(f"unknown scope {scope!r}")
-    n = h.node_count()
-    if n < 2:
+    if not (0 < tol < math.inf and max_iter >= 1):
+        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, "
+                         f"got {tol!r} and {max_iter!r}")
+    lcc = _as_lcc(g)
+    n = len(lcc.degrees)
+    if n < 2 or (scope == "global" and not lcc.spanning):
         return 0.0
-    index = {u: i for i, u in enumerate(h.nodes())}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for u, v in h.edges():
-        i, j = index[u], index[v]
-        rows += [i, j]
-        cols += [j, i]
-        vals += [-1.0, -1.0]
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(float(h.degree(u)) for u in h.nodes())
-    lap = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    rows = np.repeat(np.arange(n), lcc.degrees)
+    if n <= _DENSE_MAX:
+        lap = np.zeros((n, n))
+        lap[rows, lcc.indices] = -1.0
+        lap[np.diag_indices(n)] = lcc.degrees
+        return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
+    diag = np.arange(n)
+    lap = sp.csc_matrix(
+        (
+            np.concatenate([np.full(len(rows), -1.0), lcc.degrees.astype(float)]),
+            (np.concatenate([rows, diag]), np.concatenate([lcc.indices, diag])),
+        ),
+        shape=(n, n),
+    )
     return _fiedler_value(lap, n, tol, max_iter)
 
 
@@ -475,6 +515,7 @@ def compute_features(
     degree_variance = float(degrees.var())  # population variance
 
     modularity = max_modularity_cnm(g)[0] if m >= 1 else 0.0
+    lcc = lcc_arrays(g)  # shared by the path length and lambda2
 
     kcore: list[int] = []
     kbrace: list[int] = []
@@ -495,10 +536,10 @@ def compute_features(
         avg_clustering=avg_clustering(g),
         degree_assortativity=degree_assortativity(g),
         avg_path_length_lcc=avg_path_length_lcc(
-            g, sample_sources=path_sample_sources, seed=path_sample_seed
+            lcc, sample_sources=path_sample_sources, seed=path_sample_seed
         ),
         algebraic_connectivity=algebraic_connectivity(
-            g, tol=lambda2_tol, max_iter=lambda2_max_iter, scope=lambda2_scope
+            lcc, tol=lambda2_tol, max_iter=lambda2_max_iter, scope=lambda2_scope
         ),
         max_modularity=modularity,
         kcore_components=tuple(kcore),

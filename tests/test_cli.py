@@ -242,17 +242,44 @@ def test_malformed_edge_file_names_file_and_line(tmp_path, capsys):
     assert "bad.edges" in err and "line 2" in err
 
 
-def test_eigensolver_budget_exhaustion_is_numerical_error(tmp_path, capsys):
-    (tmp_path / "p.edges").write_text(
-        "\n".join(f"n{i:02d} n{i + 1:02d}" for i in range(11)) + "\n"
+def write_path_manifest(root, n):
+    (root / "p.edges").write_text(
+        "\n".join(f"n{i:03d} n{i + 1:03d}" for i in range(n - 1)) + "\n"
     )
-    manifest = tmp_path / "manifest.jsonl"
+    manifest = root / "manifest.jsonl"
     manifest.write_text(json.dumps(
         {"id": "p", "path": "p.edges", "category": "c"}) + "\n")
+    return manifest
+
+
+def test_eigensolver_budget_exhaustion_is_numerical_error(tmp_path, capsys):
+    # above the 128-node dense cap, where the iteration budget binds
+    manifest = write_path_manifest(tmp_path, 200)
     assert main(["features", "--manifest", str(manifest),
                  "--out-dir", str(tmp_path / "out"),
                  "--lambda2-max-iter", "1"]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_numerical_error_names_the_edge_list(tmp_path, capsys):
+    manifest = write_path_manifest(tmp_path, 200)
+    assert main(["features", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out"), "--lambda2-max-iter", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: {tmp_path / 'p.edges'}: no convergence after 1 " in err, err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda2-tol", "nan"), ("--lambda2-tol", "inf"), ("--lambda2-tol", "0"),
+    ("--lambda2-tol", "-1e-8"), ("--lambda2-tol", "x"),
+    ("--lambda2-max-iter", "0"), ("--lambda2-max-iter", "-1"), ("--lambda2-max-iter", "2.5"),
+])
+def test_bad_lambda2_budget_is_usage_error(tmp_path, capsys, flag, value):
+    manifest = write_path_manifest(tmp_path, 200)
+    assert main(["features", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out"), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_undersized_similarity_category_is_data_error(tmp_path, capsys):

@@ -1,11 +1,17 @@
 """Per-feature contracts: analytic spot values, conventions, oracle parity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import brute
+import placenet
+import placenet.features
 from placenet.features import (
     ConvergenceError,
     algebraic_connectivity,
@@ -28,7 +34,12 @@ from placenet.generators import (
     gen_er,
     gen_multi_core_community,
 )
-from placenet.graph import Graph, bfs_distances, largest_connected_component
+from placenet.graph import (
+    Graph,
+    bfs_distances,
+    largest_connected_component,
+    serialize_edge_list,
+)
 from placenet.seeding import derive_rng
 
 
@@ -254,8 +265,59 @@ def test_lambda2_degenerate_components():
 
 def test_lambda2_budget_exhaustion_raises_with_residual():
     with pytest.raises(ConvergenceError) as exc:
-        algebraic_connectivity(path(10), max_iter=1)
+        algebraic_connectivity(path(200), max_iter=1)
     assert exc.value.residual > 0
+
+
+def test_lambda2_budget_does_not_bind_dense_components():
+    g = connected_with_spare(128, 7)
+    assert algebraic_connectivity(g, max_iter=1) == brute.lambda2_dense(g)
+
+
+@pytest.mark.parametrize("options", [
+    {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_iter": 0},
+], ids=["tol-nan", "tol-inf", "tol-0", "max_iter-0"])
+@pytest.mark.parametrize("n", [10, 200])
+def test_lambda2_rejects_bad_budget(options, n):
+    with pytest.raises(ValueError, match="finite tol > 0 and max_iter >= 1"):
+        algebraic_connectivity(path(n), **options)
+
+
+LAMBDA2_GRAPHS = {
+    name: APL_GRAPHS[name] for name in ("er", "core_periphery", "multi_core", "scatter")
+}
+# either side of the dense cap
+LAMBDA2_GRAPHS.update(
+    {f"lcc{n}": (lambda n=n: connected_with_spare(n, 8)) for n in (127, 128, 129)}
+)
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA2_GRAPHS))
+def test_lambda2_matches_dense_eigenvalues(name):
+    g = LAMBDA2_GRAPHS[name]()
+    assert algebraic_connectivity(g) == pytest.approx(brute.lambda2_dense(g), abs=1e-8)
+
+
+def test_lambda2_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # On either side of the dense cap and well above it; the second run
+    # leaves the thread count to OpenBLAS, which uses every CPU.
+    lines = []
+    for n in (128, 129, 190, 200):
+        (tmp_path / f"g{n}.edges").write_text(serialize_edge_list(connected_with_spare(n, 9)))
+        lines.append(json.dumps({"id": f"g{n}", "path": f"g{n}.edges", "category": "c"}))
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    src = os.path.dirname(os.path.dirname(placenet.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "placenet.cli", "features", "--manifest",
+                        str(tmp_path / "manifest.jsonl"), "--out-dir", str(out)],
+                       check=True, env={**env, **threads})
+        outputs.append((out / "features.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_lambda2_positive_iff_lcc_nontrivial_and_bounded():
@@ -433,6 +495,23 @@ def test_compute_features_bounds():
         assert -1.0 <= fv.degree_assortativity <= 1.0
         assert -0.5 <= fv.max_modularity <= 1.0
         assert fv.algebraic_connectivity >= 0.0
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"lambda2_scope": "global"}, {"path_sample_sources": 5},
+], ids=["lcc", "global", "sampled"])
+def test_compute_features_extracts_one_lcc(monkeypatch, options):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return largest_connected_component(g)
+
+    monkeypatch.setattr(placenet.features, "largest_connected_component", counting)
+    for g in (gen_er(60, 0.05, seed=3), path(200)):
+        calls.clear()
+        compute_features(g, **options)
+        assert calls == [g]
 
 
 def test_features_csv_round_trip(tmp_path):
