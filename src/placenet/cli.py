@@ -57,7 +57,7 @@ from placenet.similarity import (
     write_auc_matrix_csv,
     write_importance_csv,
 )
-from placenet.tables import read_jsonl, write_csv, write_jsonl
+from placenet.tables import open_text, read_jsonl, write_csv, write_jsonl
 
 
 class _UsageError(Exception):
@@ -181,8 +181,7 @@ def _read_config(path: Path) -> configparser.ConfigParser:
     """The INI archetype config; a syntax error names the file and line."""
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_file(open_text(path))
     except configparser.MissingSectionHeaderError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: expected a [section] header, "
                          f"got {exc.line.strip()!r}")
@@ -246,7 +245,7 @@ def _cmd_features(args, out_dir: Path):
     graph_digests: dict[str, str] = {}
     for entry in _read_manifest(args.manifest):
         gpath = _resolve(args.manifest.parent, entry["path"])
-        text = gpath.read_text(encoding="utf-8")
+        text = open_text(gpath).read()
         try:
             graph = parse_edge_list(text)
         except GraphParseError as exc:
@@ -345,7 +344,7 @@ def _cmd_embed(args, out_dir: Path):
         return written, {}
 
     try:
-        seeds_map = json.loads(args.seeds.read_text(encoding="utf-8"))
+        seeds_map = json.loads(open_text(args.seeds).read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.seeds}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(seeds_map, dict) or not all(
@@ -356,7 +355,7 @@ def _cmd_embed(args, out_dir: Path):
     if args.allowlist:
         allow = {
             line.strip()
-            for line in args.allowlist.read_text(encoding="utf-8").splitlines()
+            for line in open_text(args.allowlist).read().splitlines()
             if line.strip() and not line.strip().startswith("#")
         }
     rows = []

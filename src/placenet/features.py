@@ -14,19 +14,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from placenet.graph import (
+# bfs_distances and connected_components are unused here; the benchmark's
+# tracer wraps them under these names.
+from placenet.graph import (  # noqa: F401
     Graph,
-    bfs_distances,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
+    bfs_distances,
     connected_components,
     largest_connected_component,
+    union,
 )
 from placenet.seeding import derive_rng
 from placenet.tables import number, read_csv, write_csv
@@ -43,20 +45,6 @@ _BFS_BLOCK = 512
 # the same bits under both.
 _DENSE_MAX = 128
 
-_SCALAR_NAMES = (
-    "n_nodes",
-    "n_edges",
-    "density",
-    "avg_degree",
-    "degree_variance",
-    "avg_clustering",
-    "degree_assortativity",
-    "avg_path_length_lcc",
-    "algebraic_connectivity",
-    "max_modularity",
-)
-
-
 class ConvergenceError(ArithmeticError):
     """Eigensolver exhausted its iteration budget; carries the residual."""
 
@@ -71,7 +59,7 @@ class ConvergenceError(ArithmeticError):
 
 def feature_names(k_set: Sequence[int] = DEFAULT_K_SET) -> list[str]:
     """Canonical feature order used by vectors, CSV columns and rankings."""
-    names = list(_SCALAR_NAMES)
+    names = list(_FIELD_NAMES[:-2])
     names.extend(f"kcore_{k}" for k in k_set)
     names.extend(f"kbrace_{k}" for k in k_set)
     return names
@@ -98,40 +86,51 @@ class FeatureVector:
         return np.array(self.as_row(), dtype=float)
 
     def as_row(self) -> list[float | int]:
-        return [
-            self.n_nodes,
-            self.n_edges,
-            self.density,
-            self.avg_degree,
-            self.degree_variance,
-            self.avg_clustering,
-            self.degree_assortativity,
-            self.avg_path_length_lcc,
-            self.algebraic_connectivity,
-            self.max_modularity,
-            *self.kcore_components,
-            *self.kbrace_components,
-        ]
+        *scalars, kcore, kbrace = (getattr(self, name) for name in _FIELD_NAMES)
+        return [*scalars, *kcore, *kbrace]
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(FeatureVector))
+
+
+def _edge_list(g: Graph) -> list[tuple[int, int]]:
+    u, v = g.edge_indices()
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _edge_supports(g: Graph) -> tuple[list[tuple[int, int]], list[set[int]], list[int]]:
+    """The edges ``(u, v)``, u < v, in ``edges()`` order, each node's
+    neighbour set and each edge's support ``|N(u) & N(v)|``, all by node
+    index."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = [set(indices[indptr[i]:indptr[i + 1]]) for i in range(g.node_count())]
+    edges = _edge_list(g)
+    return edges, adj, [len(adj[a] & adj[b]) for a, b in edges]
+
+
+def _clustering(degrees: list[int], edges: list[tuple[int, int]], support: list[int]) -> float:
+    # links(u), the sum of u's edge supports, counts each triangle at u twice
+    links = [0] * len(degrees)
+    for (u, v), s in zip(edges, support):
+        links[u] += s
+        links[v] += s
+    total = 0.0
+    for d, link in zip(degrees, links):
+        if d >= 2:
+            total += link / (d * (d - 1))
+    return total / len(degrees)
 
 
 def avg_clustering(g: Graph) -> float:
     """Mean local clustering coefficient over all nodes.
 
-    Nodes with degree < 2 contribute 0; the empty graph maps to 0.
+    Nodes with degree < 2 contribute 0; the empty graph maps to 0. Each
+    node's triangles come from the supports of its edges.
     """
-    n = g.node_count()
-    if n == 0:
+    if g.node_count() == 0:
         return 0.0
-    total = 0.0
-    for u in g.nodes():
-        nbrs = g.neighbors(u)
-        d = len(nbrs)
-        if d < 2:
-            continue
-        # sum of |N(u) & N(v)| over v in N(u) counts each triangle at u twice
-        links = sum(len(nbrs & g.neighbors(v)) for v in nbrs)
-        total += links / (d * (d - 1))
-    return total / n
+    edges, _, support = _edge_supports(g)
+    return _clustering(np.diff(g.indptr).tolist(), edges, support)
 
 
 def degree_assortativity(g: Graph) -> float:
@@ -140,17 +139,15 @@ def degree_assortativity(g: Graph) -> float:
     Returns 0 by convention when the graph has no edges or all endpoint
     degrees are equal (zero marginal variance).
     """
-    m = g.edge_count()
-    if m == 0:
+    if g.edge_count() == 0:
         return 0.0
-    deg = {u: g.degree(u) for u in g.nodes()}
-    if len({deg[u] for u in deg if deg[u] > 0}) <= 1:
+    deg = np.diff(g.indptr).astype(float)
+    if len(np.unique(deg[deg > 0])) <= 1:
         return 0.0
-    x = np.empty(2 * m, dtype=float)
-    y = np.empty(2 * m, dtype=float)
-    for i, (u, v) in enumerate(g.edges()):
-        x[2 * i], y[2 * i] = deg[u], deg[v]
-        x[2 * i + 1], y[2 * i + 1] = deg[v], deg[u]
+    u, v = g.edge_indices()
+    # both orientations of each edge, interleaved in edges() order
+    x = np.stack([deg[u], deg[v]], axis=1).ravel()
+    y = np.stack([deg[v], deg[u]], axis=1).ravel()
     dx = x - x.mean()
     dy = y - y.mean()
     r = float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
@@ -162,7 +159,7 @@ class LccArrays:
     """CSR adjacency of a graph's largest connected component.
 
     Rows follow the component's sorted node ids: row ``i`` lists its
-    neighbours at ``indices[starts[i]:starts[i] + degrees[i]]``.
+    neighbours, sorted, at ``indices[starts[i]:starts[i] + degrees[i]]``.
     ``spanning`` is true when the component holds every node of the graph.
     """
 
@@ -175,18 +172,8 @@ class LccArrays:
 def lcc_arrays(g: Graph) -> LccArrays:
     """Extract the largest connected component once, as CSR arrays."""
     lcc = largest_connected_component(g)
-    nodes = lcc.nodes()
-    n = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    degrees = np.fromiter((lcc.degree(u) for u in nodes), dtype=np.intp, count=n)
-    starts = np.zeros(n, dtype=np.intp)
-    np.cumsum(degrees[:-1], out=starts[1:])
-    indices = np.fromiter(
-        (index[v] for u in nodes for v in lcc.neighbors(u)),
-        dtype=np.intp,
-        count=2 * lcc.edge_count(),
-    )
-    return LccArrays(starts, indices, degrees, n == g.node_count())
+    return LccArrays(lcc.indptr[:-1], lcc.indices, np.diff(lcc.indptr),
+                     lcc.node_count() == g.node_count())
 
 
 def _as_lcc(g: Graph | LccArrays) -> LccArrays:
@@ -362,16 +349,15 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
     m = g.edge_count()
     if m == 0:
         return 0.0, {u: i for i, u in enumerate(nodes)}
-    index = {u: i for i, u in enumerate(nodes)}
-    comm_deg = [g.degree(u) for u in nodes]
+    comm_deg = np.diff(g.indptr).tolist()
     intra = [0] * n
-    members: list[list[str]] = [[u] for u in nodes]
-    alive = [True] * n
+    # each node's community, named by its smallest member as merges keep i < j
+    parent = list(range(n))
     nbr: list[dict[int, int]] = [{} for _ in range(n)]
-    for u, v in g.edges():
-        i, j = index[u], index[v]
-        nbr[i][j] = nbr[i].get(j, 0) + 1
-        nbr[j][i] = nbr[j].get(i, 0) + 1
+    eu, ev = g.edge_indices()
+    for i, j in zip(eu.tolist(), ev.tolist()):
+        nbr[i][j] = 1
+        nbr[j][i] = 1
 
     def gain2(i: int, j: int) -> int:
         # Merge gain scaled by 2*m^2: positive iff modularity increases.
@@ -381,7 +367,7 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
     heapq.heapify(heap)
     while heap:
         neg, i, j = heapq.heappop(heap)
-        if not alive[i] or not alive[j]:
+        if parent[i] != i or parent[j] != j:
             continue
         current = gain2(i, j)
         if -neg != current:
@@ -389,10 +375,9 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
         if current <= 0:
             break
         # merge j into i (i < j)
-        alive[j] = False
+        parent[j] = i
         intra[i] += intra[j] + nbr[i].get(j, 0)
         comm_deg[i] += comm_deg[j]
-        members[i].extend(members[j])
         nbr[i].pop(j, None)
         for k, cnt in nbr[j].items():
             if k == i:
@@ -405,81 +390,146 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
             a, b = (i, k) if i < k else (k, i)
             heapq.heappush(heap, (-gain2(a, b), a, b))
 
-    intra_sum = sum(intra[c] for c in range(n) if alive[c])
-    sq_sum = sum(comm_deg[c] * comm_deg[c] for c in range(n) if alive[c])
+    roots = [c for c in range(n) if parent[c] == c]
+    intra_sum = sum(intra[c] for c in roots)
+    sq_sum = sum(comm_deg[c] * comm_deg[c] for c in roots)
     q = (4 * m * intra_sum - sq_sum) / (4 * m * m)
 
-    root_of: dict[str, int] = {}
-    for c in range(n):
-        if alive[c]:
-            for u in members[c]:
-                root_of[u] = c
-    label_of_root: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    for u in nodes:
-        root = root_of[u]
-        if root not in label_of_root:
-            label_of_root[root] = len(label_of_root)
-        assignment[u] = label_of_root[root]
-    return q, assignment
+    for x in range(n):  # parent[x] < x unless x is a root
+        parent[x] = parent[parent[x]]
+    label = {root: i for i, root in enumerate(dict.fromkeys(parent))}
+    return q, {u: label[root] for u, root in zip(nodes, parent)}
+
+
+def _check_k(k_set: Iterable[int]) -> None:
+    if any(k < 1 for k in k_set):
+        raise ValueError("k must be >= 1")
+
+
+def _peel(keys: list[int], lowered: Callable[[int], Iterable[int]]) -> list[int]:
+    """Level of every item in a bucket peel.
+
+    At each level k, from 0 up, items whose key is at most k are removed
+    and get level k; ``lowered(i)`` names the items whose key drops by one
+    when item i goes. Buckets hold stale entries instead of moving items,
+    so a peel costs O(items + decrements). ``keys`` is consumed.
+    """
+    buckets: list[list[int]] = [[] for _ in range(max(keys, default=0) + 1)]
+    for i, key in enumerate(keys):
+        buckets[key].append(i)
+    level = [-1] * len(keys)
+    for k, bucket in enumerate(buckets):
+        while bucket:
+            i = bucket.pop()
+            if level[i] < 0:
+                level[i] = k
+                for j in lowered(i):
+                    if level[j] < 0:
+                        key = keys[j] = keys[j] - 1
+                        buckets[key if key > k else k].append(j)
+    return level
+
+
+def _core_numbers(g: Graph) -> list[int]:
+    """Core number of every node, the largest k whose k-core holds it:
+    nodes peeled by degree (Batagelj & Zaversnik 2003)."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    return _peel(np.diff(g.indptr).tolist(), lambda v: indices[indptr[v]:indptr[v + 1]])
+
+
+def _brace_numbers(
+    edges: list[tuple[int, int]], adj: list[set[int]], support: list[int]
+) -> list[int]:
+    """Brace number of every edge, the largest k whose k-brace keeps it:
+    edges peeled by support (truss decomposition, Wang & Cheng, VLDB 2012).
+
+    An edge that goes lowers the support of the other two edges of every
+    triangle it closed. Takes the output of ``_edge_supports`` and empties
+    ``adj``.
+    """
+    n = len(adj)
+    edge_id = {u * n + v: e for e, (u, v) in enumerate(edges)}
+
+    def lowered(e: int):
+        u, v = edges[e]
+        adj[u].discard(v)
+        adj[v].discard(u)
+        for w in adj[u] & adj[v]:
+            yield edge_id[min(u, w) * n + max(u, w)]
+            yield edge_id[min(v, w) * n + max(v, w)]
+
+    return _peel(list(support), lowered)
+
+
+def _level_counts(
+    n: int, edges: list[tuple[int, int]], edge_level: list[int],
+    k_set: Sequence[int], count_mode: str,
+) -> list[int]:
+    """For each k, the components (or nodes) of the subgraph formed by the
+    edges of level at least k and their endpoints.
+
+    One union-find adds the edges from the top level down and reads the
+    count at each level, so the whole k-set costs one pass.
+    """
+    _check_k(k_set)
+    top = max(edge_level, default=0)
+    edges_at: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for edge, level in zip(edges, edge_level):
+        edges_at[level].append(edge)
+    parent = list(range(n))
+    seen = [False] * n
+    count = [0] * (top + 1)
+    nodes = comps = 0
+    for level in range(top, 0, -1):
+        for u, v in edges_at[level]:
+            fresh = (not seen[u]) + (not seen[v])
+            seen[u] = seen[v] = True
+            nodes += fresh
+            comps += fresh - union(parent, u, v)
+        count[level] = comps if count_mode == "components" else nodes
+    return [count[k] if k <= top else 0 for k in k_set]
+
+
+def _core_edge_levels(g: Graph, edges: list[tuple[int, int]]) -> list[int]:
+    # A node of core number c >= 1 has an edge to the c-core, so the
+    # k-core is the edges whose endpoints both have core number >= k,
+    # plus their endpoints.
+    core = _core_numbers(g)
+    return [min(core[u], core[v]) for u, v in edges]
 
 
 def k_core_subgraph(g: Graph, k: int) -> Graph:
-    """Maximal subgraph in which every node has degree >= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    deg = {u: g.degree(u) for u in g.nodes()}
-    removed = {u for u, d in deg.items() if d < k}
-    queue = deque(removed)
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in removed:
-                deg[v] -= 1
-                if deg[v] < k:
-                    removed.add(v)
-                    queue.append(v)
-    return g.subgraph(u for u in g.nodes() if u not in removed)
+    """Maximal subgraph in which every node has degree >= k: the nodes of
+    core number at least k."""
+    _check_k((k,))
+    return g.subgraph(u for u, c in zip(g.nodes(), _core_numbers(g)) if c >= k)
 
 
 def k_core_components(g: Graph, k: int) -> int:
     """Number of connected components of the k-core; 0 if the core is empty."""
-    return len(connected_components(k_core_subgraph(g, k)))
+    edges = _edge_list(g)
+    return _level_counts(g.node_count(), edges, _core_edge_levels(g, edges), (k,),
+                         "components")[0]
 
 
 def k_brace_subgraph(g: Graph, k: int) -> Graph:
     """Fixpoint of deleting edges with fewer than k common endpoints' neighbors.
 
-    Edge embeddedness is recomputed as edges disappear; isolated nodes are
-    dropped once the edge set is stable.
+    Embeddedness counts only edges still present, so this keeps the edges
+    of brace number at least k; nodes left without an edge are dropped.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    adj = {u: set(g.neighbors(u)) for u in g.nodes()}
-    emb: dict[tuple[str, str], int] = {}
-    for u, v in g.edges():
-        emb[(u, v)] = len(adj[u] & adj[v])
-    queue = deque(e for e, c in emb.items() if c < k)
-    while queue:
-        u, v = queue.popleft()
-        if v not in adj[u]:
-            continue  # already deleted
-        adj[u].discard(v)
-        adj[v].discard(u)
-        for w in adj[u] & adj[v]:
-            for e in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
-                emb[e] -= 1
-                if emb[e] == k - 1:
-                    queue.append(e)
-        del emb[(u, v)]
-    survivors = {u for u, s in adj.items() if s}
-    edges = [(u, v) for u in survivors for v in adj[u] if u < v]
-    return Graph(edges, nodes=survivors)
+    _check_k((k,))
+    edges, adj, support = _edge_supports(g)
+    ids = g.nodes()
+    brace = _brace_numbers(edges, adj, support)
+    return Graph((ids[u], ids[v]) for (u, v), b in zip(edges, brace) if b >= k)
 
 
 def k_brace_components(g: Graph, k: int) -> int:
     """Number of connected components of the k-brace; 0 if it is empty."""
-    return len(connected_components(k_brace_subgraph(g, k)))
+    edges, adj, support = _edge_supports(g)
+    return _level_counts(len(adj), edges, _brace_numbers(edges, adj, support), (k,),
+                         "components")[0]
 
 
 def compute_features(
@@ -509,23 +559,18 @@ def compute_features(
     if n == 0:
         zeros = tuple(0 for _ in k_set)
         return FeatureVector(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, zeros, zeros)
-    degrees = np.array([g.degree(u) for u in g.nodes()], dtype=float)
+    degrees = np.diff(g.indptr)
     density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
     avg_degree = 2.0 * m / n
-    degree_variance = float(degrees.var())  # population variance
+    degree_variance = float(degrees.astype(float).var())  # population variance
 
     modularity = max_modularity_cnm(g)[0] if m >= 1 else 0.0
     lcc = lcc_arrays(g)  # shared by the path length and lambda2
-
-    kcore: list[int] = []
-    kbrace: list[int] = []
-    for k in k_set:
-        if count_mode == "components":
-            kcore.append(k_core_components(g, k))
-            kbrace.append(k_brace_components(g, k))
-        else:
-            kcore.append(k_core_subgraph(g, k).node_count())
-            kbrace.append(k_brace_subgraph(g, k).node_count())
+    # one support pass for clustering and the brace peel
+    edges, adj, support = _edge_supports(g)
+    clustering = _clustering(degrees.tolist(), edges, support)
+    kcore = _level_counts(n, edges, _core_edge_levels(g, edges), k_set, count_mode)
+    kbrace = _level_counts(n, edges, _brace_numbers(edges, adj, support), k_set, count_mode)
 
     return FeatureVector(
         n_nodes=n,
@@ -533,7 +578,7 @@ def compute_features(
         density=density,
         avg_degree=avg_degree,
         degree_variance=degree_variance,
-        avg_clustering=avg_clustering(g),
+        avg_clustering=clustering,
         degree_assortativity=degree_assortativity(g),
         avg_path_length_lcc=avg_path_length_lcc(
             lcc, sample_sources=path_sample_sources, seed=path_sample_seed

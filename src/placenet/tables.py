@@ -2,17 +2,36 @@
 
 Files are UTF-8 with ``\\n`` line endings. Readers skip blank lines and
 report bad input as ``ValueError("<path>: line N: ...")``, where N is the
-physical line of the file.
+physical line of the file. Every text input of the program, tables or
+not, is decoded by ``open_text``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
+
+
+def open_text(path, newline: str | None = None) -> io.StringIO:
+    """A UTF-8 text file, read as ``open(path, encoding="utf-8",
+    newline=newline)`` would read it.
+
+    Undecodable bytes raise ``ValueError("<path>: line N: not valid
+    UTF-8")`` for the line that holds the first of them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+    return io.StringIO(text, newline=newline)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -32,23 +51,22 @@ def read_csv(
     ``columns`` is None. Every row must have as many cells as the header.
     A ``ValueError`` from ``parse`` is reported with the row's line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns or () if c not in header]
-        if missing:
-            raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
-        pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
-        out: list[T] = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, found {len(row)}")
-                out.append(parse(*[row[i] for i in pick]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(open_text(path, newline=""))
+    header = next(reader, [])
+    missing = [c for c in columns or () if c not in header]
+    if missing:
+        raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
+    pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
+    out: list[T] = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, found {len(row)}")
+            out.append(parse(*[row[i] for i in pick]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, out
 
 
@@ -72,14 +90,13 @@ def read_jsonl(path, parse: Callable[[object], T]) -> list[T]:
     the line.
     """
     out: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    for line_no, line in enumerate(open_text(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return out

@@ -111,6 +111,23 @@ def assortativity_corrcoef(g) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def assortativity_exact(g) -> float:
+    """Degree assortativity from exact integer sums, rounded once.
+
+    Both orientations of every edge give x and y the same values, so their
+    variances are equal and r = cov(x, y) / var(x).
+    """
+    xs, ys = [], []
+    for u, v in g.edges():
+        xs += [g.degree(u), g.degree(v)]
+        ys += [g.degree(v), g.degree(u)]
+    n, sx = len(xs), sum(xs)
+    var = n * sum(x * x for x in xs) - sx * sx
+    if var == 0:
+        return 0.0
+    return (n * sum(x * y for x, y in zip(xs, ys)) - sx * sx) / var
+
+
 def apl_floyd_warshall(g) -> float:
     nodes = largest_component_nodes(g)
     n = len(nodes)

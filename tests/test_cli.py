@@ -1,5 +1,6 @@
 """Command-line pipeline: shapes, exit codes, determinism, provenance."""
 
+import hashlib
 import json
 import os
 
@@ -76,6 +77,76 @@ def test_generate_writes_manifest_and_graphs(tmp_path):
     assert meta["command"] == "generate"
     assert meta["seed"] == 3
     assert "gen.ini" in meta["inputs"]
+
+
+PIN_CONFIG = """\
+[er]
+kind = erdos_renyi
+n = 120
+p = 0.05
+count = 2
+
+[cp]
+kind = core_periphery
+n_core = 12
+n_periphery = 100
+p_cc = 0.6
+p_cp = 0.08
+p_pp = 0.01
+count = 2
+
+[scatter]
+kind = dyad_triad_scatter
+n_components = 40
+dyad_fraction = 0.5
+count = 2
+
+[club]
+kind = multi_core_community
+n_cores = 3
+core_size = 50
+p_in = 0.2
+p_out = 0.01
+count = 2
+"""
+
+# SHA-256 of each output of `generate --seed 7` on PIN_CONFIG and of
+# features.csv under each count mode, recorded with the set-based graph
+# core of commit 85d70f0. The club graphs (150 nodes) take the iterative
+# lambda2 path, the others the dense one.
+PINNED_DIGESTS = {
+    "graphs/club_000.edges": "bd57e732f5f8a329d032ed5e921f502a3e8253ca70c357483c224916079db986",
+    "graphs/club_001.edges": "fd92c4da70ff55ae090f779fb6ef698f5c275542c389ff567137b23884933c15",
+    "graphs/cp_000.edges": "ab9c70b89e74bfada1ccf7d28752eb9d9e425f4504c18c0f5f9661d1bc270b3f",
+    "graphs/cp_001.edges": "9af8929a0d08e5b7863c66ed41be98f0ac226e3f18d7a43fe72d15e6687a27a1",
+    "graphs/er_000.edges": "5ac2d4c75be1d756daec48a4eac4dd4ad22e23bca59d8b97bb26ad68c7e9f202",
+    "graphs/er_001.edges": "8afbff45d6b2bc9e9ffe1ca8011d453f90cc02a8d520e35b1f2dfa3857ab4430",
+    "graphs/scatter_000.edges": "47f6f21a8a9b7c212f3776bbc9d1814432ad28153e7c6d674f01f748fd9f1375",
+    "graphs/scatter_001.edges": "1784aa4038a7aee0b8b19fe20da45be5406a4720a4ffae7ccd890d6390a23e54",
+    "manifest.jsonl": "f60d839c8e032e2a8cfd4664da680a6e8cb52fa2a4b8a5d34f2889647bafaf09",
+    "components/features.csv": "9b190c4ff3227216e0f58335b6239bf1be222367211eec520518c17fa7cecb88",
+    "nodes/features.csv": "ac416734338fecbb38c076ca2c670d00f7127ab88e835b6adaf82f358a1af8b6",
+}
+
+
+def test_generate_and_features_bytes_are_pinned(tmp_path):
+    (tmp_path / "pin.ini").write_text(PIN_CONFIG)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(tmp_path / "pin.ini"),
+                 "--out-dir", str(gen), "--seed", "7"]) == 0
+    for mode in ("components", "nodes"):
+        assert main(["features", "--manifest", str(gen / "manifest.jsonl"),
+                     "--out-dir", str(tmp_path / mode), "--count-mode", mode]) == 0
+    digests = {
+        name: hashlib.sha256((gen / name).read_bytes()).hexdigest()
+        for name in PINNED_DIGESTS if not name.endswith("features.csv")
+    }
+    for mode in ("components", "nodes"):
+        name = f"{mode}/features.csv"
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == PINNED_DIGESTS
+    assert sorted(p.name for p in (gen / "graphs").iterdir()) == \
+        sorted(name[len("graphs/"):] for name in PINNED_DIGESTS if name.startswith("graphs/"))
 
 
 def test_features_csv_shape(tmp_path):
@@ -325,6 +396,7 @@ BAD_CONFIGS = [
      "section [er]: count must be an integer, got 'two'"),
     ("seed", ER_SECTION + "seed = 1.5\n", "section [er]: seed must be an integer, got '1.5'"),
     ("interpolation", ER_SECTION.replace("0.3", "30%"), "section [er]: '%' must be followed"),
+    ("not utf-8", ER_SECTION.encode() + b"count = \xff\n", "line 5: not valid UTF-8"),
 ]
 
 
@@ -332,7 +404,10 @@ BAD_CONFIGS = [
                          ids=[case[0] for case in BAD_CONFIGS])
 def test_bad_config_names_file_and_place(tmp_path, capsys, text, message):
     config = tmp_path / "gen.ini"
-    config.write_text(text)
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
     assert main(["generate", "--config", str(config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -452,6 +527,7 @@ COMMAND_OF = {
     "places.csv": PREVALENCE,
     "regions.csv": PREVALENCE,
     "external.csv": PREVALENCE,
+    "g1.edges": ["features", "--manifest", "manifest.jsonl"],
 }
 
 # (table, case, text, physical line of the bad row)
@@ -480,12 +556,26 @@ BAD_TABLES = [
     ("external.csv", "short", "region_id,category,count\nr1,cafe,3\nr2,cafe\n", 3),
     ("external.csv", "nan", "region_id,category,count\nr1,cafe,3\nr2,cafe,nan\n", 3),
     ("external.csv", "after blank", "region_id,category,count\nr1,cafe,3\n\nr2,cafe,x\n", 4),
+    # bytes that do not decode as UTF-8
+    ("g1.edges", "not utf-8", b"\xffa b\n", 1),
+    ("manifest.jsonl", "not utf-8", b'{"category": "c", "id": "g1", "path": "g1.edges"}\n'
+                                    b'{"category": "d", "id": "\xff", "path": "g2.edges"}\n', 2),
+    ("corpus.jsonl", "not utf-8", b'{"categories": ["A", "B"]}\n\n{"categories": ["\xe9"]}\n', 3),
+    ("features.csv", "not utf-8", b"graph_id,x,y\ng1,1.0,2.0\ng2,3.0,4.0\xc3\n", 3),
+    ("importance.csv", "not utf-8", b"feature,importance,rank\n\xfex,0.75,1\ny,0.25,2\n", 2),
+    ("places.csv", "not utf-8", b"page_id,region_id,categories\np1,r1,caf\xe9\n", 2),
+    ("regions.csv", "not utf-8", b"region_id,population,rucc,income,education,"
+                                 b"foreign_born_share\xff\nr1,1000,1,50000,0.3,0.1\n", 1),
+    ("external.csv", "not utf-8", b"region_id,category,count\nr1,cafe,3\nr2,\x80,5\n", 3),
 ]
 
 
 def run_in(root, argv, **replace):
     for name, text in {**GOOD_INPUTS, **replace}.items():
-        (root / name).write_text(text)
+        if isinstance(text, bytes):
+            (root / name).write_bytes(text)
+        else:
+            (root / name).write_text(text)
     resolved = [str(root / arg) if arg in GOOD_INPUTS else arg for arg in argv]
     return main(resolved + ["--out-dir", str(root / "out")])
 

@@ -466,6 +466,96 @@ def test_core_and_brace_match_naive_fixpoints():
             assert set(bsub.edges()) == bedges
 
 
+# Unsorted, with one k (99) above every core number of these graphs.
+K_COLUMNS = (16, 1, 4, 99)
+
+K_COLUMN_GRAPHS = [
+    lambda: gen_er(120, 0.08, seed=1),
+    lambda: gen_core_periphery(24, 96, 0.95, 0.05, 0.01, seed=2),
+    lambda: gen_multi_core_community(3, 40, 0.4, 0.01, seed=3),
+    lambda: gen_dyad_triad_scatter(30, 0.5, seed=4),
+]
+
+
+def naive_k_columns(g, count_mode):
+    columns = []
+    for oracle in (brute.kcore_peel_naive, brute.kbrace_fixpoint_naive):
+        for k in K_COLUMNS:
+            nodes, edges = oracle(g, k)
+            columns.append(len(nodes) if count_mode == "nodes"
+                           else brute.component_count(nodes, edges))
+    return columns
+
+
+@pytest.mark.parametrize("count_mode", ["components", "nodes"])
+def test_compute_features_k_columns_match_naive_fixpoints(count_mode):
+    rng = derive_rng(23)  # the graphs of test_core_and_brace_match_naive_fixpoints
+    graphs = [random_graph(rng) for _ in range(25)] + [make() for make in K_COLUMN_GRAPHS]
+    for g in graphs:
+        fv = compute_features(g, K_COLUMNS, count_mode=count_mode)
+        assert [*fv.kcore_components, *fv.kbrace_components] == naive_k_columns(g, count_mode)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against networkx on 500-2000-node graphs
+
+NX_GRAPHS = {
+    "er": lambda: gen_er(500, 0.03, seed=1),
+    "core_periphery": lambda: gen_core_periphery(40, 700, 0.9, 0.02, 0.002, seed=2),
+    "multi_core": lambda: gen_multi_core_community(5, 100, 0.25, 0.003, seed=3),
+    "scatter": lambda: gen_dyad_triad_scatter(300, 0.5, seed=4),
+}
+
+
+def as_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes())  # sorted, the order avg_clustering sums in
+    h.add_edges_from(g.edges())
+    return nx, h
+
+
+def edge_set(h):
+    return {tuple(sorted(e)) for e in h.edges()}
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_k_brace_matches_networkx_k_truss(name):
+    g = NX_GRAPHS[name]()
+    nx, h = as_networkx(g)
+    assert k_brace_subgraph(g, 1).edge_count() > 0
+    for k in (1, 2, 4, 8, 16):
+        truss = nx.k_truss(h, k + 2)
+        brace = k_brace_subgraph(g, k)
+        assert set(brace.nodes()) == set(truss.nodes())
+        assert set(brace.edges()) == edge_set(truss)
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_k_core_matches_networkx(name):
+    g = NX_GRAPHS[name]()
+    nx, h = as_networkx(g)
+    for k in (1, 2, 4, 8, 16):
+        core = nx.k_core(h, k)
+        sub = k_core_subgraph(g, k)
+        assert set(sub.nodes()) == set(core.nodes())
+        assert set(sub.edges()) == edge_set(core)
+        assert k_core_components(g, k) == nx.number_connected_components(core)
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_clustering_and_assortativity_match_networkx(name):
+    g = NX_GRAPHS[name]()
+    nx, h = as_networkx(g)
+    assert avg_clustering(g) == nx.average_clustering(h)
+    assert len({g.degree(u) for u in g.nodes()}) > 1  # not regular
+    r = degree_assortativity(g)
+    assert r == pytest.approx(brute.assortativity_exact(g), rel=1e-14, abs=0)
+    # networkx's own rounding error reaches 1.1e-14 on the multi_core graph,
+    # where r is 0.008: more than 1e-12 of r
+    assert r == pytest.approx(nx.degree_assortativity_coefficient(h), rel=1e-12, abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 

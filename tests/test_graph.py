@@ -1,7 +1,9 @@
 """Graph construction, parsing and traversal contracts."""
 
+import numpy as np
 import pytest
 
+import placenet.graph
 from placenet.graph import (
     Graph,
     GraphParseError,
@@ -157,3 +159,24 @@ def test_subgraph_induced():
     sub = g.subgraph(["a", "b", "c", "ghost"])
     assert set(sub.nodes()) == {"a", "b", "c"}
     assert sub.edge_count() == 3
+
+
+@pytest.mark.parametrize("n_nodes", [5, 30, 60])
+def test_python_and_numpy_builds_agree(monkeypatch, n_nodes):
+    rng = derive_rng(404, n_nodes)
+    for _ in range(20):
+        pairs = [
+            (f"n{int(rng.integers(0, n_nodes))}", f"n{int(rng.integers(0, n_nodes))}")
+            for _ in range(int(rng.integers(0, 3 * n_nodes)))
+        ]
+        extra = [f"iso{int(rng.integers(0, 4))}" for _ in range(int(rng.integers(0, 3)))]
+        builds = []
+        for cap in (10**9, -1):  # every graph through Python sets, then through numpy
+            monkeypatch.setattr(placenet.graph, "_PYTHON_BUILD_MAX", cap)
+            builds.append(Graph(pairs, nodes=extra))
+        small, large = builds
+        assert small.nodes() == large.nodes()
+        assert small.indptr.dtype == large.indptr.dtype == np.int32
+        assert small.indices.dtype == large.indices.dtype == np.int32
+        assert small.indptr.tolist() == large.indptr.tolist()
+        assert small.indices.tolist() == large.indices.tolist()
