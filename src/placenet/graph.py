@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
-
-
-# Graphs of at most this many nodes plus edges get their CSR arrays from
-# Python sets, larger ones from a numpy sort. A fresh process pays 10-130 us
-# the first time it runs each numpy routine: on 24 graphs of 20 nodes and
-# about 50 edges, `generate` took 16 % longer than with the earlier
-# dict-of-sets graph when every graph went through numpy, and 6 % longer
-# this way. At 100 nodes and 60 edges numpy is already the faster one.
-_PYTHON_BUILD_MAX = 100
 
 
 class GraphParseError(ValueError):
@@ -48,28 +40,14 @@ class Graph:
         ids = tuple(sorted({*nodes, *us, *vs}))
         n = len(ids)
         index = dict(zip(ids, range(n)))
-        if n + len(us) <= _PYTHON_BUILD_MAX:
-            adj: list[set[int]] = [set() for _ in ids]
-            for i, j in zip(map(index.__getitem__, us), map(index.__getitem__, vs)):
-                if i != j:
-                    adj[i].add(j)
-                    adj[j].add(i)
-            lists = [sorted(row) for row in adj]
-            indptr = np.fromiter(accumulate(map(len, lists), initial=0), np.int32, n + 1)
-            indices = np.fromiter(chain.from_iterable(lists), np.int32, int(indptr[-1]))
-        else:
-            # both orientations of every edge as keys row * n + column,
-            # sorted and deduplicated; self-loops dropped
-            rows = np.fromiter(map(index.__getitem__, us + vs), np.int64, 2 * len(us))
-            cols = rows.reshape(2, -1)[::-1].ravel()
-            key = (rows * n + cols)[rows != cols]
-            key.sort()
-            first = np.ones(len(key), dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            rows, cols = np.divmod(key[first], n)
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            indices = cols.astype(np.int32)
+        adj: list[set[int]] = [set() for _ in ids]
+        for i, j in zip(map(index.__getitem__, us), map(index.__getitem__, vs)):
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+        lists = [sorted(row) for row in adj]
+        indptr = np.fromiter(accumulate(map(len, lists), initial=0), np.int32, n + 1)
+        indices = np.fromiter(chain.from_iterable(lists), np.int32, int(indptr[-1]))
         self._set(ids, index, indptr, indices)
 
     def _set(self, ids: tuple[str, ...], index: dict[str, int],
@@ -103,7 +81,12 @@ class Graph:
         return u in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._index and v in self.neighbors(u)
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j is None:
+            return False
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and row[k] == j
 
     def edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Node indices ``(u, v)`` of every edge, u < v, in ``edges()`` order."""
@@ -252,12 +235,15 @@ def bfs_distances(g: Graph, source: str) -> dict[str, int]:
     Raises:
         KeyError: if *source* is not a node of the graph.
     """
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    queue = [g._index[source]]
-    dist = {queue[0]: 0}
-    for u in queue:  # the loop also visits the nodes appended below
-        for v in indices[indptr[u]:indptr[u + 1]]:
+    if not g.has_node(source):
+        raise KeyError(source)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v in g.neighbors(u):
             if v not in dist:
-                dist[v] = dist[u] + 1
+                dist[v] = du + 1
                 queue.append(v)
-    return {g.nodes()[u]: d for u, d in dist.items()}
+    return dist
