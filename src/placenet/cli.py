@@ -57,7 +57,7 @@ from placenet.similarity import (
     write_auc_matrix_csv,
     write_importance_csv,
 )
-from placenet.tables import open_text, read_jsonl, write_csv, write_jsonl
+from placenet.tables import open_text, read_jsonl, read_text, write_csv, write_jsonl
 
 
 class _UsageError(Exception):
@@ -181,7 +181,8 @@ def _read_config(path: Path) -> configparser.ConfigParser:
     """The INI archetype config; a syntax error names the file and line."""
     parser = configparser.ConfigParser()
     try:
-        parser.read_file(open_text(path))
+        with open_text(path) as fh:
+            parser.read_file(fh)
     except configparser.MissingSectionHeaderError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: expected a [section] header, "
                          f"got {exc.line.strip()!r}")
@@ -245,7 +246,7 @@ def _cmd_features(args, out_dir: Path):
     graph_digests: dict[str, str] = {}
     for entry in _read_manifest(args.manifest):
         gpath = _resolve(args.manifest.parent, entry["path"])
-        text = open_text(gpath).read()
+        text = read_text(gpath)
         try:
             graph = parse_edge_list(text)
         except GraphParseError as exc:
@@ -344,7 +345,7 @@ def _cmd_embed(args, out_dir: Path):
         return written, {}
 
     try:
-        seeds_map = json.loads(open_text(args.seeds).read())
+        seeds_map = json.loads(read_text(args.seeds))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.seeds}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(seeds_map, dict) or not all(
@@ -355,7 +356,7 @@ def _cmd_embed(args, out_dir: Path):
     if args.allowlist:
         allow = {
             line.strip()
-            for line in open_text(args.allowlist).read().splitlines()
+            for line in read_text(args.allowlist).splitlines()
             if line.strip() and not line.strip().startswith("#")
         }
     rows = []

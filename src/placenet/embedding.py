@@ -190,15 +190,16 @@ def save_model_tsv(model: EmbeddingModel, path: str) -> None:
 def load_model_tsv(path: str) -> EmbeddingModel:
     labels: list[str] = []
     rows: list[list[float]] = []
-    for line_no, raw in enumerate(open_text(path), start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise ValueError(f"{path}: line {line_no}: expected label + vector")
-        labels.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
+    with open_text(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2:
+                raise ValueError(f"{path}: line {line_no}: expected label + vector")
+            labels.append(parts[0])
+            rows.append([float(x) for x in parts[1:]])
     if rows and len({len(r) for r in rows}) != 1:
         raise ValueError(f"{path}: inconsistent vector dimensions")
     return EmbeddingModel(labels=labels, vectors=np.asarray(rows, dtype=float))

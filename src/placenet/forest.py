@@ -30,6 +30,8 @@ class Dataset:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
+        for r, c in np.argwhere(~np.isfinite(self.features))[:1]:
+            raise ValueError(f"features must be finite: row {r}, column {c} is {self.features[r, c]}")
         uniq = set(np.unique(self.labels).tolist())
         if not uniq <= {0, 1}:
             raise ValueError("labels must be binary (0/1)")
@@ -59,11 +61,10 @@ class _Tree:
         self.right = np.asarray(right, dtype=np.int32)
         self.prob = np.asarray(prob, dtype=float)
 
-    def score(self, x: np.ndarray) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return float(self.prob[i])
+
+# A batch of nodes that, padded to its largest, exceeds this many rows is
+# scored in blocks of nodes within a factor two of each block's largest.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -73,98 +74,68 @@ class Forest:
     n_features: int
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray, feats: np.ndarray, min_leaf: int):
-    """Best Gini-gain split among candidate features.
+def _best_splits(rank, order, xs, ys, counts, trees, rows, n, c1, feats, min_leaf: int):
+    """Best Gini-gain split of each of K nodes, scored as one block.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values. Ties on gain break deterministically by lowest global feature
-    index, then lowest threshold. Returns None when no split has positive
-    gain.
+    Row ``order[f, i]`` has the i-th smallest value ``xs[f, i]`` of
+    feature f, label ``ys[f, i]`` and rank ``rank[f, order[f, i]] == i``;
+    the last row, N, pads (+inf, label 0). Node k of tree ``trees[k]``
+    holds ``n[k]`` rows, ``c1[k]`` of them positive: ``counts[trees[k],
+    r]`` copies of each distinct row r in ``rows[k]``, padded with N.
+    Thresholds lie midway between consecutive distinct values of the
+    node's rows on its ascending ``feats[k]``; gain ties break by lowest
+    feature, then lowest threshold. Per node: None without a positive
+    gain, else ``(gain, feature, threshold, left rows, right rows, left
+    size, left positives)``.
     """
-    n = len(yn)
-    Xf = Xn[:, feats]
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    ys = yn[order].astype(float)
-    c1_left = np.cumsum(ys, axis=0)[:-1]
-    total1 = float(yn.sum())
-    nl = np.arange(1, n, dtype=float)[:, None]
-    nr = n - nl
-    c1_right = total1 - c1_left
-    gini_left = 1.0 - (c1_left / nl) ** 2 - ((nl - c1_left) / nl) ** 2
-    gini_right = 1.0 - (c1_right / nr) ** 2 - ((nr - c1_right) / nr) ** 2
-    weighted = (nl * gini_left + nr * gini_right) / n
-    valid = xs[1:] != xs[:-1]
-    if min_leaf > 1:
-        valid &= (nl >= min_leaf) & (nr >= min_leaf)
-    weighted = np.where(valid, weighted, np.inf)
-    best = weighted.min()
-    if not np.isfinite(best):
-        return None
-    p = total1 / n
-    gain = (1.0 - p * p - (1.0 - p) * (1.0 - p)) - best
-    if gain <= 0.0:
-        return None
-    ii, jj = np.nonzero(weighted == best)
-    candidates = []
-    for i, j in zip(ii, jj):
-        lo, hi = xs[i, j], xs[i + 1, j]
+    K, U = rows.shape
+    N1 = rank.shape[1]
+    k = np.arange(K)
+    base = feats[:, :, None] * N1
+    at = base + np.sort(rank.take(base + rows[:, None, :]), axis=2)  # rows in value order
+    srows = order.take(at)
+    w = counts.take(srows + N1 * trees[:, None, None])
+    x = xs.take(at)
+    nl = np.cumsum(w, axis=2)
+    c1_left = np.cumsum(w * ys.take(at), axis=2)
+    nn = n[:, None, None]
+    nr = nn - nl
+    c1_right = c1[:, None, None] - c1_left
+    valid = np.zeros(x.shape, dtype=bool)
+    np.not_equal(x[:, :, 1:], x[:, :, :-1], out=valid[:, :, :-1])
+    valid &= (nl >= min_leaf) & (nr >= min_leaf)
+    with np.errstate(all="ignore"):  # cuts with an empty side are masked
+        gini_left = 1.0 - (c1_left / nl) ** 2 - ((nl - c1_left) / nl) ** 2
+        gini_right = 1.0 - (c1_right / nr) ** 2 - ((nr - c1_right) / nr) ** 2
+        weighted = (nl * gini_left + nr * gini_right) / nn
+        # the first minimum in (feature, value) order breaks the ties
+        weighted = np.where(valid, weighted, np.inf).reshape(K, -1)
+        j, i = np.divmod(weighted.argmin(axis=1), U)
+        p = c1 / n
+        gain = (1.0 - p * p - (1.0 - p) * (1.0 - p)) - weighted[k, j * U + i]
+        lo, hi = x[k, j, i], x[k, j, i + 1]
         thr = lo + (hi - lo) / 2.0
-        if thr >= hi:  # adjacent floats: keep the cut strictly below hi
-            thr = lo
-        candidates.append((int(feats[j]), float(thr)))
-    feat, thr = min(candidates)
-    left_mask = Xn[:, feat] <= thr
-    return float(gain), feat, thr, left_mask
-
-
-def _grow_tree(X, y, rng, params: ForestParams, q: int, importance: np.ndarray) -> _Tree:
-    n_root = len(y)
-    d = X.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    prob: list[float] = []
-
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(0.0)
-        return len(feature) - 1
-
-    stack = [(np.arange(n_root), 0, alloc())]
-    while stack:
-        idx, depth, slot = stack.pop()
-        yn = y[idx]
-        n = len(idx)
-        c1 = int(yn.sum())
-        depth_hit = params.max_depth is not None and depth >= params.max_depth
-        if c1 == 0 or c1 == n or depth_hit or n < 2 * params.min_leaf:
-            prob[slot] = c1 / n
-            continue
-        feats = np.sort(rng.choice(d, size=q, replace=False))
-        found = _best_split(X[idx], yn, feats, params.min_leaf)
-        if found is None:
-            prob[slot] = c1 / n
-            continue
-        gain, feat, thr, left_mask = found
-        importance[feat] += (n / n_root) * gain
-        lslot = alloc()
-        rslot = alloc()
-        feature[slot] = feat
-        threshold[slot] = thr
-        left[slot] = lslot
-        right[slot] = rslot
-        stack.append((idx[~left_mask], depth + 1, rslot))
-        stack.append((idx[left_mask], depth + 1, lslot))
-    return _Tree(feature, threshold, left, right, prob)
+        thr = np.where(thr >= hi, lo, thr)  # adjacent floats: cut strictly below hi
+    ends = (rows < N1 - 1).sum(axis=1).tolist()
+    sizes = nl[k, j, i].astype(int).tolist()
+    positives = c1_left[k, j, i].astype(int).tolist()
+    j, i = j.tolist(), i.tolist()
+    return [
+        (g, f, t, srows[k, j[k], : i[k] + 1], srows[k, j[k], i[k] + 1 : ends[k]], sizes[k],
+         positives[k]) if g > 0.0 else None
+        for k, (g, f, t) in enumerate(zip(gain.tolist(), feats[k, j].tolist(), thr.tolist()))
+    ]
 
 
 def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams()) -> Forest:
     """Bagged trees on bootstrap resamples; deterministic given the seed.
+
+    Tree t draws its bootstrap, then one feature subset per node it splits
+    in depth-first order (left child first), from ``derive_rng(seed, 31,
+    t)``. The trees grow in lockstep: each step takes the next node to
+    split from every tree and scores them together in ``_best_splits``
+    blocks over one presort of the training rows. That gives the same
+    forest as growing the trees one after another.
 
     Raises:
         ValueError: if the dataset holds a single class or the
@@ -184,19 +155,68 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     if not 1 <= q <= d:
         raise ValueError(f"features_per_split must be in [1, {d}]")
 
-    trees: list[_Tree] = []
+    max_depth = math.inf if params.max_depth is None else params.max_depth
+    Xp = np.vstack([X, np.full(d, np.inf)]).T  # padding row n sorts last
+    order = np.argsort(Xp, axis=1, kind="stable")
+    rank, xs = np.argsort(order, axis=1), np.take_along_axis(Xp, order, axis=1)
+    ys = np.append(y, 0.0)[order]
+    rngs = [derive_rng(params.seed, 31, t) for t in range(params.n_trees)]
+    boots = np.array([rng.integers(0, n, size=n) for rng in rngs])
+    counts = np.array([np.bincount(boot, minlength=n + 1) for boot in boots], dtype=float)
+    # per tree: [feature, threshold, left, right, prob] per node, and a
+    # depth-first stack of (distinct rows, size, positives, depth, node)
+    nodes = [[[-1, 0.0, -1, -1, 0.0]] for _ in rngs]
+    stacks = [[(np.flatnonzero(c), n, c1, 0, 0)] for c, c1 in zip(counts, y[boots].sum(axis=1).tolist())]
     per_tree = np.zeros((params.n_trees, d))
-    for t in range(params.n_trees):
-        rng = derive_rng(params.seed, 31, t)
-        boot = rng.integers(0, n, size=n)
-        raw = np.zeros(d)
-        trees.append(_grow_tree(X[boot], y[boot], rng, params, q, raw))
-        total = raw.sum()
-        if total > 0:
-            per_tree[t] = raw / total
+    growing = range(params.n_trees)
+    while growing:
+        batch = []
+        for t in growing:
+            stack = stacks[t]
+            while stack:
+                rows, m, c1, depth, slot = stack.pop()
+                if c1 == 0 or c1 == m or depth >= max_depth or m < 2 * params.min_leaf:
+                    nodes[t][slot][4] = c1 / m
+                    continue
+                batch.append((t, rows, m, c1, depth, slot, rngs[t].choice(d, size=q, replace=False)))
+                break
+        growing = [b[0] for b in batch]
+        batch.sort(key=lambda b: -len(b[1]))
+        while batch:
+            width = len(batch[0][1])
+            small = len(batch) * width <= _BLOCK_ROWS
+            cut = len(batch) if small else sum(2 * len(b[1]) >= width for b in batch)
+            chunk, batch = batch[:cut], batch[cut:]
+            block = np.full((len(chunk), width), n)
+            for k, b in enumerate(chunk):
+                block[k, : len(b[1])] = b[1]
+            cols = list(zip(*chunk))
+            splits = _best_splits(
+                rank, order, xs, ys, counts, np.array(cols[0]), block, np.array(cols[2], dtype=float),
+                np.array(cols[3], dtype=float), np.sort(cols[6], axis=1), params.min_leaf,
+            )
+            for (t, _, m, c1, depth, slot, _), split in zip(chunk, splits):
+                tree = nodes[t]
+                if split is None:
+                    tree[slot][4] = c1 / m
+                    continue
+                gain, feat, thr, left, right, m_left, c1_left = split
+                per_tree[t, feat] += (m / n) * gain
+                tree[slot][:4] = feat, thr, len(tree), len(tree) + 1
+                tree += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+                stacks[t] += [
+                    (right, m - m_left, c1 - c1_left, depth + 1, len(tree) - 1),
+                    (left, m_left, c1_left, depth + 1, len(tree) - 2),
+                ]
+    totals = per_tree.sum(axis=1, keepdims=True)
+    np.divide(per_tree, totals, out=per_tree, where=totals > 0)
     mean_imp = per_tree.mean(axis=0)
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else np.full(d, 1.0 / d)
+    flat = np.array([node for tree in nodes for node in tree]).T
+    cols = [flat[c].astype(np.int32 if c in (0, 2, 3) else float) for c in range(5)]
+    ends = np.cumsum([len(tree) for tree in nodes]).tolist()
+    trees = [_Tree(*(c[e - len(tree) : e] for c in cols)) for tree, e in zip(nodes, ends)]
     return Forest(trees=trees, importances=importances, n_features=d)
 
 
@@ -207,14 +227,34 @@ def predict_score(forest: Forest, x: Sequence[float]) -> float:
         raise ValueError(
             f"expected a vector of dimension {forest.n_features}, got {vec.shape}"
         )
-    return float(sum(t.score(vec) for t in forest.trees) / len(forest.trees))
+    return float(predict_scores(forest, vec[None])[0])
 
 
 def predict_scores(forest: Forest, X) -> np.ndarray:
+    """``predict_score`` of every row of ``X``.
+
+    All rows descend all trees at once, one level per step; each row's
+    leaf probabilities are summed in tree order.
+    """
     mat = np.asarray(X, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != forest.n_features:
         raise ValueError(f"expected an (n, {forest.n_features}) matrix")
-    return np.array([predict_score(forest, row) for row in mat])
+    trees = forest.trees
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, prob = (
+        np.concatenate([getattr(t, name) for t in trees]) for name in _Tree.__slots__
+    )
+    left = left + np.repeat(roots, sizes)  # children as indices into the concatenation
+    right = right + np.repeat(roots, sizes)
+    node = np.repeat(roots[:, None], len(mat), axis=1)
+    cols = np.arange(len(mat))
+    f = feature[node]
+    while (f >= 0).any():
+        go_left = mat[cols, f] <= threshold[node]
+        node = np.where(f < 0, node, np.where(go_left, left[node], right[node]))
+        f = feature[node]
+    return sum(prob[node]) / len(trees)
 
 
 def roc_auc(scores, labels) -> float:

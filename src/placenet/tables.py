@@ -9,29 +9,39 @@ not, is decoded by ``open_text``.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 T = TypeVar("T")
 
 
-def open_text(path, newline: str | None = None) -> io.StringIO:
-    """A UTF-8 text file, read as ``open(path, encoding="utf-8",
-    newline=newline)`` would read it.
+@contextmanager
+def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8", newline=newline)``, streamed.
 
-    Undecodable bytes raise ``ValueError("<path>: line N: not valid
-    UTF-8")`` for the line that holds the first of them.
+    Undecodable bytes met in the ``with`` body raise ``ValueError("<path>:
+    line N: not valid UTF-8")`` for the line that holds the first of them.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
-    return io.StringIO(text, newline=newline)
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+            raise
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, decoded by ``open_text``."""
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -51,22 +61,23 @@ def read_csv(
     ``columns`` is None. Every row must have as many cells as the header.
     A ``ValueError`` from ``parse`` is reported with the row's line.
     """
-    reader = csv.reader(open_text(path, newline=""))
-    header = next(reader, [])
-    missing = [c for c in columns or () if c not in header]
-    if missing:
-        raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
-    pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
-    out: list[T] = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} cells, found {len(row)}")
-            out.append(parse(*[row[i] for i in pick]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns or () if c not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
+        pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
+        out: list[T] = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, found {len(row)}")
+                out.append(parse(*[row[i] for i in pick]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, out
 
 
@@ -90,13 +101,14 @@ def read_jsonl(path, parse: Callable[[object], T]) -> list[T]:
     the line.
     """
     out: list[T] = []
-    for line_no, line in enumerate(open_text(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return out

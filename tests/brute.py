@@ -317,3 +317,123 @@ def pearson(xs, ys) -> float:
     dx = x - x.mean()
     dy = y - y.mean()
     return float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
+
+
+def best_split_reference(Xn, yn, feats, min_leaf: int):
+    """One node's best Gini-gain split, scored on its own sorted matrix.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values. Ties on gain break by lowest global feature index, then lowest
+    threshold. Returns None when no split has positive gain.
+    """
+    n = len(yn)
+    Xf = Xn[:, feats]
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    ys = yn[order].astype(float)
+    c1_left = np.cumsum(ys, axis=0)[:-1]
+    total1 = float(yn.sum())
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    c1_right = total1 - c1_left
+    gini_left = 1.0 - (c1_left / nl) ** 2 - ((nl - c1_left) / nl) ** 2
+    gini_right = 1.0 - (c1_right / nr) ** 2 - ((nr - c1_right) / nr) ** 2
+    weighted = (nl * gini_left + nr * gini_right) / n
+    valid = xs[1:] != xs[:-1]
+    if min_leaf > 1:
+        valid &= (nl >= min_leaf) & (nr >= min_leaf)
+    weighted = np.where(valid, weighted, np.inf)
+    best = weighted.min()
+    if not np.isfinite(best):
+        return None
+    p = total1 / n
+    gain = (1.0 - p * p - (1.0 - p) * (1.0 - p)) - best
+    if gain <= 0.0:
+        return None
+    ii, jj = np.nonzero(weighted == best)
+    candidates = []
+    for i, j in zip(ii, jj):
+        lo, hi = xs[i, j], xs[i + 1, j]
+        thr = lo + (hi - lo) / 2.0
+        if thr >= hi:  # adjacent floats: keep the cut strictly below hi
+            thr = lo
+        candidates.append((int(feats[j]), float(thr)))
+    feat, thr = min(candidates)
+    left_mask = Xn[:, feat] <= thr
+    return float(gain), feat, thr, left_mask
+
+
+def grow_tree_reference(X, y, rng, params, q: int, importance: np.ndarray):
+    """One tree grown depth first, one node at a time (left child first).
+
+    Returns the flat ``(feature, threshold, left, right, prob)`` lists;
+    ``feature == -1`` marks a leaf. Adds each split's weighted gain to
+    ``importance``.
+    """
+    n_root = len(y)
+    d = X.shape[1]
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    prob: list[float] = []
+
+    def alloc() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        prob.append(0.0)
+        return len(feature) - 1
+
+    stack = [(np.arange(n_root), 0, alloc())]
+    while stack:
+        idx, depth, slot = stack.pop()
+        yn = y[idx]
+        n = len(idx)
+        c1 = int(yn.sum())
+        depth_hit = params.max_depth is not None and depth >= params.max_depth
+        if c1 == 0 or c1 == n or depth_hit or n < 2 * params.min_leaf:
+            prob[slot] = c1 / n
+            continue
+        feats = np.sort(rng.choice(d, size=q, replace=False))
+        found = best_split_reference(X[idx], yn, feats, params.min_leaf)
+        if found is None:
+            prob[slot] = c1 / n
+            continue
+        gain, feat, thr, left_mask = found
+        importance[feat] += (n / n_root) * gain
+        lslot = alloc()
+        rslot = alloc()
+        feature[slot] = feat
+        threshold[slot] = thr
+        left[slot] = lslot
+        right[slot] = rslot
+        stack.append((idx[~left_mask], depth + 1, rslot))
+        stack.append((idx[left_mask], depth + 1, lslot))
+    return feature, threshold, left, right, prob
+
+
+def forest_reference(X, y, params, derive_rng) -> tuple[list[tuple], np.ndarray]:
+    """Trees grown one after another on bootstrap resamples, and the
+    forest's normalized mean importances.
+
+    ``derive_rng`` is the library's stream derivation, so that both sides
+    draw the same bootstraps and feature subsets.
+    """
+    n, d = X.shape
+    q = params.features_per_split or math.ceil(math.sqrt(d))
+    trees = []
+    per_tree = np.zeros((params.n_trees, d))
+    for t in range(params.n_trees):
+        rng = derive_rng(params.seed, 31, t)
+        boot = rng.integers(0, n, size=n)
+        raw = np.zeros(d)
+        trees.append(grow_tree_reference(X[boot], y[boot], rng, params, q, raw))
+        total = raw.sum()
+        if total > 0:
+            per_tree[t] = raw / total
+    mean_imp = per_tree.mean(axis=0)
+    total = mean_imp.sum()
+    importances = mean_imp / total if total > 0 else np.full(d, 1.0 / d)
+    return trees, importances

@@ -149,6 +149,65 @@ def test_generate_and_features_bytes_are_pinned(tmp_path):
         sorted(name[len("graphs/"):] for name in PINNED_DIGESTS if name.startswith("graphs/"))
 
 
+SIM_PIN_CONFIG = """\
+[er_a]
+kind = erdos_renyi
+n = 30
+p = 0.12
+count = 12
+
+[er_b]
+kind = erdos_renyi
+n = 30
+p = 0.12
+count = 12
+
+[cp]
+kind = core_periphery
+n_core = 6
+n_periphery = 24
+p_cc = 0.8
+p_cp = 0.15
+p_pp = 0.03
+count = 12
+"""
+
+# SHA-256 of the similarity and represent outputs on the 36 graphs of
+# `generate --seed 3` on SIM_PIN_CONFIG, recorded with the tree-by-tree
+# forest that preceded lockstep growth. er_a and er_b are a null pair, so
+# their forests grow deep trees.
+SIM_PINNED_DIGESTS = {
+    "sim/auc_matrix.csv": "0bf0e6d2f944aad0796fedfdd0ab8a32d38b07d72b4d978d2b302c0e78d93a34",
+    "sim/importance.csv": "cfd22bfb46bb90e152f6d273e03004a2687f6401676eef1f49c4f70464890ecd",
+    "rep/representatives.csv": "d2ed1643b1484e7275cf7c283fd3d28adf85aed79efb65e51ebc48eb579520e6",
+    "rep/representatives/": ["cp__cp_004.edges", "er_a__er_a_009.edges", "er_b__er_b_006.edges"],
+}
+
+
+def test_similarity_and_represent_bytes_are_pinned(tmp_path):
+    (tmp_path / "pin.ini").write_text(SIM_PIN_CONFIG)
+    gen, feat = tmp_path / "gen", tmp_path / "feat"
+    assert main(["generate", "--config", str(tmp_path / "pin.ini"),
+                 "--out-dir", str(gen), "--seed", "3"]) == 0
+    assert main(["features", "--manifest", str(gen / "manifest.jsonl"),
+                 "--out-dir", str(feat)]) == 0
+    assert main(["similarity", "--features", str(feat / "features.csv"),
+                 "--manifest", str(gen / "manifest.jsonl"), "--out-dir", str(tmp_path / "sim"),
+                 "--folds", "3", "--n-trees", "20", "--seed", "5"]) == 0
+    assert main(["represent", "--features", str(feat / "features.csv"),
+                 "--manifest", str(gen / "manifest.jsonl"),
+                 "--importance", str(tmp_path / "sim" / "importance.csv"),
+                 "--out-dir", str(tmp_path / "rep")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("sim/auc_matrix.csv", "sim/importance.csv", "rep/representatives.csv")
+    }
+    digests["rep/representatives/"] = sorted(
+        p.name for p in (tmp_path / "rep" / "representatives").iterdir()
+    )
+    assert digests == SIM_PINNED_DIGESTS
+
+
 def test_features_csv_shape(tmp_path):
     graphs = tmp_path / "graphs"
     graphs.mkdir()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brute
+from placenet import forest
 from placenet.forest import (
     Dataset,
     ForestParams,
@@ -121,6 +122,89 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 1]))
     with pytest.raises(ValueError):
         Dataset(np.zeros((4, 2)), np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    X = np.zeros((5, 3))
+    X[3, 2] = bad
+    X[4, 0] = bad
+    with pytest.raises(ValueError, match=r"row 3, column 2"):
+        Dataset(X, np.array([0, 1, 0, 1, 0]))
+
+
+def random_training_set(rng):
+    """A small dataset with, at random, rounded (tie-heavy) values,
+    duplicate rows and constant columns; both classes present."""
+    n = int(rng.integers(4, 60))
+    d = int(rng.integers(1, 25))
+    X = rng.normal(size=(n, d)) * rng.choice([1.0, 1e-3, 1e3])
+    if rng.random() < 0.5:
+        X = np.round(X, int(rng.integers(0, 2)))
+    if rng.random() < 0.3:
+        X[rng.integers(0, n, size=n // 3)] = X[rng.integers(0, n, size=n // 3)]
+    if rng.random() < 0.3:
+        X[:, rng.integers(0, d)] = rng.normal()
+    y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.int8)
+    y[:2] = [0, 1]
+    return X, y
+
+
+def assert_forest_equals_reference(X, y, params):
+    model = train_random_forest(Dataset(X, y), params)
+    trees, importances = brute.forest_reference(X, y, params, derive_rng)
+    assert len(model.trees) == len(trees)
+    for tree, ref in zip(model.trees, trees):
+        for name, expected in zip(("feature", "threshold", "left", "right", "prob"), ref):
+            assert getattr(tree, name).tolist() == list(expected), name
+    assert model.importances.tolist() == importances.tolist()
+    # what the benchmark tracer counts as forest.tree_nodes
+    assert sum(len(t.feature) for t in model.trees) == sum(len(r[0]) for r in trees)
+
+
+def random_params(rng, case, d):
+    return ForestParams(
+        n_trees=int(rng.integers(1, 12)),
+        max_depth=[None, 1, 3][case % 3],
+        min_leaf=[1, 3][case // 3 % 2],
+        features_per_split=[1, None, d][case // 6 % 3],
+        seed=case,
+    )
+
+
+def test_lockstep_forest_equals_tree_by_tree_reference():
+    rng = derive_rng(71)
+    for case in range(200):
+        X, y = random_training_set(rng)
+        assert_forest_equals_reference(X, y, random_params(rng, case, X.shape[1]))
+
+
+@pytest.mark.parametrize("block_rows", [1, 60])
+def test_lockstep_forest_equals_reference_in_split_blocks(monkeypatch, block_rows):
+    monkeypatch.setattr(forest, "_BLOCK_ROWS", block_rows)
+    rng = derive_rng(73, block_rows)
+    for case in range(40):
+        X, y = random_training_set(rng)
+        assert_forest_equals_reference(X, y, random_params(rng, case, X.shape[1]))
+
+
+def test_batch_prediction_equals_per_row_tree_walk():
+    rng = derive_rng(72)
+    for case in range(30):
+        X, y = random_training_set(rng)
+        model = train_random_forest(Dataset(X, y), ForestParams(n_trees=[1, 9, 25][case % 3], seed=case))
+        probe = np.vstack([X, rng.normal(size=(5, X.shape[1]))])
+        expected = []
+        for x in probe:
+            total = 0
+            for t in model.trees:
+                i = 0
+                while t.feature[i] >= 0:
+                    i = t.left[i] if x[t.feature[i]] <= t.threshold[i] else t.right[i]
+                total += float(t.prob[i])
+            expected.append(total / len(model.trees))
+        assert predict_scores(model, probe).tolist() == expected
+        assert predict_score(model, probe[-1]) == expected[-1]
 
 
 # ---------------------------------------------------------------------------
