@@ -62,8 +62,9 @@ class _Tree:
         self.prob = np.asarray(prob, dtype=float)
 
 
-# A batch of nodes that, padded to its largest, exceeds this many rows is
-# scored in blocks of nodes within a factor two of each block's largest.
+# Each step scores its nodes, largest first, in blocks of at most this many
+# rows after padding to the block's largest node (and at least one node):
+# padding then costs little, and a block's arrays stay small.
 _BLOCK_ROWS = 4096
 
 
@@ -74,13 +75,13 @@ class Forest:
     n_features: int
 
 
-def _best_splits(rank, order, xs, ys, counts, trees, rows, n, c1, feats, min_leaf: int):
+def _best_splits(rank, order, xs, ys, counts, tree_of, rows, n, c1, feats, min_leaf: int):
     """Best Gini-gain split of each of K nodes, scored as one block.
 
     Row ``order[f, i]`` has the i-th smallest value ``xs[f, i]`` of
     feature f, label ``ys[f, i]`` and rank ``rank[f, order[f, i]] == i``;
-    the last row, N, pads (+inf, label 0). Node k of tree ``trees[k]``
-    holds ``n[k]`` rows, ``c1[k]`` of them positive: ``counts[trees[k],
+    the last row, N, pads (+inf, label 0). Node k of tree ``tree_of[k]``
+    holds ``n[k]`` rows, ``c1[k]`` of them positive: ``counts[tree_of[k],
     r]`` copies of each distinct row r in ``rows[k]``, padded with N.
     Thresholds lie midway between consecutive distinct values of the
     node's rows on its ascending ``feats[k]``; gain ties break by lowest
@@ -94,7 +95,7 @@ def _best_splits(rank, order, xs, ys, counts, trees, rows, n, c1, feats, min_lea
     base = feats[:, :, None] * N1
     at = base + np.sort(rank.take(base + rows[:, None, :]), axis=2)  # rows in value order
     srows = order.take(at)
-    w = counts.take(srows + N1 * trees[:, None, None])
+    w = counts.take(srows + N1 * tree_of[:, None, None])
     x = xs.take(at)
     nl = np.cumsum(w, axis=2)
     c1_left = np.cumsum(w * ys.take(at), axis=2)
@@ -184,8 +185,7 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
         batch.sort(key=lambda b: -len(b[1]))
         while batch:
             width = len(batch[0][1])
-            small = len(batch) * width <= _BLOCK_ROWS
-            cut = len(batch) if small else sum(2 * len(b[1]) >= width for b in batch)
+            cut = max(1, _BLOCK_ROWS // width)
             chunk, batch = batch[:cut], batch[cut:]
             block = np.full((len(chunk), width), n)
             for k, b in enumerate(chunk):
