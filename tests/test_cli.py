@@ -626,6 +626,11 @@ BAD_TABLES = [
     ("regions.csv", "not utf-8", b"region_id,population,rucc,income,education,"
                                  b"foreign_born_share\xff\nr1,1000,1,50000,0.3,0.1\n", 1),
     ("external.csv", "not utf-8", b"region_id,category,count\nr1,cafe,3\nr2,\x80,5\n", 3),
+    # ... past the first block the decoder reads, after rows already parsed
+    ("places.csv", "not utf-8 at row 3000", b"page_id,region_id,categories\n"
+     + b"".join(b"p%d,r1,cafe\n" % i for i in range(3000)) + b"px,r1,caf\xe9\n", 3002),
+    ("corpus.jsonl", "not utf-8 at line 3001",
+     b'{"categories": ["A", "B"]}\n' * 3000 + b'{"categories": ["\xe9"]}\n', 3001),
 ]
 
 
