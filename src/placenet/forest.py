@@ -31,7 +31,7 @@ class Dataset:
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
         for r, c in np.argwhere(~np.isfinite(self.features))[:1]:
-            raise ValueError(f"features must be finite: row {r}, column {c} is {self.features[r, c]}")
+            raise ValueError(f"features must be finite; row {r}, column {c} is not")
         uniq = set(np.unique(self.labels).tolist())
         if not uniq <= {0, 1}:
             raise ValueError("labels must be binary (0/1)")
@@ -167,7 +167,7 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     # per tree: [feature, threshold, left, right, prob] per node, and a
     # depth-first stack of (distinct rows, size, positives, depth, node)
     nodes = [[[-1, 0.0, -1, -1, 0.0]] for _ in rngs]
-    stacks = [[(np.flatnonzero(c), n, c1, 0, 0)] for c, c1 in zip(counts, y[boots].sum(axis=1).tolist())]
+    stacks = [[(np.flatnonzero(c), n, c1, 0, 0)] for c, c1 in zip(counts, y[boots].sum(1).tolist())]
     per_tree = np.zeros((params.n_trees, d))
     growing = range(params.n_trees)
     while growing:
@@ -179,7 +179,7 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
                 if c1 == 0 or c1 == m or depth >= max_depth or m < 2 * params.min_leaf:
                     nodes[t][slot][4] = c1 / m
                     continue
-                batch.append((t, rows, m, c1, depth, slot, rngs[t].choice(d, size=q, replace=False)))
+                batch.append((t, rows, m, c1, depth, slot, rngs[t].choice(d, q, replace=False)))
                 break
         growing = [b[0] for b in batch]
         batch.sort(key=lambda b: -len(b[1]))
@@ -190,10 +190,10 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
             block = np.full((len(chunk), width), n)
             for k, b in enumerate(chunk):
                 block[k, : len(b[1])] = b[1]
-            cols = list(zip(*chunk))
+            owners, _, sizes, positives, _, _, feats = zip(*chunk)
             splits = _best_splits(
-                rank, order, xs, ys, counts, np.array(cols[0]), block, np.array(cols[2], dtype=float),
-                np.array(cols[3], dtype=float), np.sort(cols[6], axis=1), params.min_leaf,
+                rank, order, xs, ys, counts, np.array(owners), block, np.array(sizes, dtype=float),
+                np.array(positives, dtype=float), np.sort(feats, axis=1), params.min_leaf,
             )
             for (t, _, m, c1, depth, slot, _), split in zip(chunk, splits):
                 tree = nodes[t]
@@ -214,9 +214,9 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else np.full(d, 1.0 / d)
     flat = np.array([node for tree in nodes for node in tree]).T
-    cols = [flat[c].astype(np.int32 if c in (0, 2, 3) else float) for c in range(5)]
+    columns = [flat[c].astype(np.int32 if c in (0, 2, 3) else float) for c in range(5)]
     ends = np.cumsum([len(tree) for tree in nodes]).tolist()
-    trees = [_Tree(*(c[e - len(tree) : e] for c in cols)) for tree, e in zip(nodes, ends)]
+    trees = [_Tree(*(c[e - len(tree) : e] for c in columns)) for tree, e in zip(nodes, ends)]
     return Forest(trees=trees, importances=importances, n_features=d)
 
 

@@ -192,7 +192,8 @@ def test_batch_prediction_equals_per_row_tree_walk():
     rng = derive_rng(72)
     for case in range(30):
         X, y = random_training_set(rng)
-        model = train_random_forest(Dataset(X, y), ForestParams(n_trees=[1, 9, 25][case % 3], seed=case))
+        params = ForestParams(n_trees=[1, 9, 25][case % 3], seed=case)
+        model = train_random_forest(Dataset(X, y), params)
         probe = np.vstack([X, rng.normal(size=(5, X.shape[1]))])
         expected = []
         for x in probe:
