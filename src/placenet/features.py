@@ -349,52 +349,51 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
     m = g.edge_count()
     if m == 0:
         return 0.0, {u: i for i, u in enumerate(nodes)}
-    comm_deg = np.diff(g.indptr).tolist()
-    intra = [0] * n
+    two_m = 2 * m
+    deg = np.diff(g.indptr).tolist()
+    q4m2 = -sum(d * d for d in deg)  # 4m^2 * Q, grown by twice each merge's gain
     # each node's community, named by its smallest member as merges keep i < j
     parent = list(range(n))
     nbr: list[dict[int, int]] = [{} for _ in range(n)]
-    eu, ev = g.edge_indices()
-    for i, j in zip(eu.tolist(), ev.tolist()):
-        nbr[i][j] = 1
-        nbr[j][i] = 1
-
-    def gain2(i: int, j: int) -> int:
-        # Merge gain scaled by 2*m^2: positive iff modularity increases.
-        return 2 * m * nbr[i].get(j, 0) - comm_deg[i] * comm_deg[j]
-
-    heap = [(-gain2(i, j), i, j) for i in range(n) for j in nbr[i] if i < j]
+    pairs = list(zip(*(a.tolist() for a in g.edge_indices())))
+    for i, j in pairs:
+        nbr[i][j] = nbr[j][i] = 1
+    # Keys are (-gain, i, j), i < j, with the exact gain 2m*e_ij - a_i*a_j
+    # (scaled by 2m^2). Each live pair has an entry whose stored gain is at
+    # least its gain, so the first exact top is the (gain, -i, -j) maximum.
+    heap = [(deg[i] * deg[j] - two_m, i, j) for i, j in pairs]
     heapq.heapify(heap)
     while heap:
-        neg, i, j = heapq.heappop(heap)
+        neg, i, j = heap[0]
         if parent[i] != i or parent[j] != j:
+            heapq.heappop(heap)
             continue
-        current = gain2(i, j)
-        if -neg != current:
-            continue  # stale entry; a fresh one is (or was) in the heap
+        current = two_m * nbr[i][j] - deg[i] * deg[j]
+        if -neg > current:  # a loose bound: re-key it in place
+            heapq.heapreplace(heap, (-current, i, j))
+            continue
+        heapq.heappop(heap)
+        if -neg < current:
+            continue  # a fresher entry bounds this pair
         if current <= 0:
             break
-        # merge j into i (i < j)
-        parent[j] = i
-        intra[i] += intra[j] + nbr[i].get(j, 0)
-        comm_deg[i] += comm_deg[j]
-        nbr[i].pop(j, None)
+        parent[j] = i  # merge j into i (i < j)
+        q4m2 += 2 * current
+        row, a_j = nbr[i], deg[j]
+        del row[j], nbr[j][i]
+        a_i = deg[i] = deg[i] + a_j
         for k, cnt in nbr[j].items():
-            if k == i:
-                continue
             del nbr[k][j]
-            nbr[i][k] = nbr[i].get(k, 0) + cnt
-            nbr[k][i] = nbr[i][k]
+            old = row.get(k)
+            row[k] = nbr[k][i] = cnt if old is None else old + cnt
+            # A new pair needs an entry; a shared k gains only by a positive
+            # j-side gain, and pairs with i's other neighbours only lose.
+            if old is None or two_m * cnt > a_j * deg[k]:
+                a, b = (i, k) if i < k else (k, i)
+                heapq.heappush(heap, (a_i * deg[k] - two_m * row[k], a, b))
         nbr[j] = {}
-        for k in nbr[i]:
-            a, b = (i, k) if i < k else (k, i)
-            heapq.heappush(heap, (-gain2(a, b), a, b))
 
-    roots = [c for c in range(n) if parent[c] == c]
-    intra_sum = sum(intra[c] for c in roots)
-    sq_sum = sum(comm_deg[c] * comm_deg[c] for c in roots)
-    q = (4 * m * intra_sum - sq_sum) / (4 * m * m)
-
+    q = q4m2 / (two_m * two_m)
     for x in range(n):  # parent[x] < x unless x is a root
         parent[x] = parent[parent[x]]
     label = {root: i for i, root in enumerate(dict.fromkeys(parent))}

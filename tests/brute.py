@@ -7,7 +7,9 @@ path with the functions it checks.
 
 from __future__ import annotations
 
+import heapq
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -214,6 +216,92 @@ def modularity_of(g, assignment: dict[str, int]) -> float:
         deg = sum(g.degree(u) for u in members)
         q += intra / m - (deg / (2.0 * m)) ** 2
     return q
+
+
+def cnm_reference(g) -> tuple[float, dict[str, int]]:
+    """Greedy agglomerative modularity maximization, one fresh heap entry per
+    neighbour after every merge; stale entries are skipped on pop.
+
+    Starts from singleton communities and repeatedly merges the connected
+    pair with the largest modularity gain until no positive gain remains.
+    Gains are compared in exact integer arithmetic, ties broken by the
+    smallest (community-index, community-index) pair, so the result is
+    fully deterministic. Returns the final (best) modularity and a node ->
+    community assignment with 0-based contiguous indices.
+
+    A graph without edges returns (0.0, all-singletons).
+    """
+    nodes = g.nodes()
+    n = len(nodes)
+    m = g.edge_count()
+    if m == 0:
+        return 0.0, {u: i for i, u in enumerate(nodes)}
+    comm_deg = np.diff(g.indptr).tolist()
+    intra = [0] * n
+    # each node's community, named by its smallest member as merges keep i < j
+    parent = list(range(n))
+    nbr: list[dict[int, int]] = [{} for _ in range(n)]
+    eu, ev = g.edge_indices()
+    for i, j in zip(eu.tolist(), ev.tolist()):
+        nbr[i][j] = 1
+        nbr[j][i] = 1
+
+    def gain2(i: int, j: int) -> int:
+        # Merge gain scaled by 2*m^2: positive iff modularity increases.
+        return 2 * m * nbr[i].get(j, 0) - comm_deg[i] * comm_deg[j]
+
+    heap = [(-gain2(i, j), i, j) for i in range(n) for j in nbr[i] if i < j]
+    heapq.heapify(heap)
+    while heap:
+        neg, i, j = heapq.heappop(heap)
+        if parent[i] != i or parent[j] != j:
+            continue
+        current = gain2(i, j)
+        if -neg != current:
+            continue  # stale entry; a fresh one is (or was) in the heap
+        if current <= 0:
+            break
+        # merge j into i (i < j)
+        parent[j] = i
+        intra[i] += intra[j] + nbr[i].get(j, 0)
+        comm_deg[i] += comm_deg[j]
+        nbr[i].pop(j, None)
+        for k, cnt in nbr[j].items():
+            if k == i:
+                continue
+            del nbr[k][j]
+            nbr[i][k] = nbr[i].get(k, 0) + cnt
+            nbr[k][i] = nbr[i][k]
+        nbr[j] = {}
+        for k in nbr[i]:
+            a, b = (i, k) if i < k else (k, i)
+            heapq.heappush(heap, (-gain2(a, b), a, b))
+
+    roots = [c for c in range(n) if parent[c] == c]
+    intra_sum = sum(intra[c] for c in roots)
+    sq_sum = sum(comm_deg[c] * comm_deg[c] for c in roots)
+    q = (4 * m * intra_sum - sq_sum) / (4 * m * m)
+
+    for x in range(n):  # parent[x] < x unless x is a root
+        parent[x] = parent[parent[x]]
+    label = {root: i for i, root in enumerate(dict.fromkeys(parent))}
+    return q, {u: label[root] for u, root in zip(nodes, parent)}
+
+
+def modularity_exact(g, assignment: dict[str, int]) -> Fraction:
+    """Q from its definition, sum over communities of e_c/m - (a_c/2m)^2."""
+    m = g.edge_count()
+    if m == 0:
+        return Fraction(0)
+    intra: dict[int, int] = {}
+    deg: dict[int, int] = {}
+    for u, v in g.edges():
+        if assignment[u] == assignment[v]:
+            intra[assignment[u]] = intra.get(assignment[u], 0) + 1
+    for u in g.nodes():
+        deg[assignment[u]] = deg.get(assignment[u], 0) + g.degree(u)
+    return sum((Fraction(intra.get(c, 0), m) - Fraction(d, 2 * m) ** 2
+                for c, d in deg.items()), Fraction(0))
 
 
 def all_partition_assignments(n: int) -> np.ndarray:

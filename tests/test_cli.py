@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +57,7 @@ def collect_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 

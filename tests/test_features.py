@@ -56,8 +56,8 @@ def star(leaves):
     return Graph([("hub", f"leaf{i}") for i in range(leaves)])
 
 
-def random_graph(rng, max_n=12):
-    n = int(rng.integers(1, max_n + 1))
+def random_graph(rng, max_n=12, min_n=1):
+    n = int(rng.integers(min_n, max_n + 1))
     p = float(rng.uniform(0, 1))
     ids = [f"n{i}" for i in range(n)]
     edges = [
@@ -396,6 +396,70 @@ def test_modularity_never_beats_exhaustive_small():
         assert q <= brute.best_modularity_exhaustive(g) + 1e-12
 
 
+def assert_cnm_matches_reference(g):
+    got = max_modularity_cnm(g)
+    assert got == brute.cnm_reference(g)  # same Q bits, same partition
+    q, parts = got
+    # Q is one correctly rounded division of exact integers
+    assert q == float(brute.modularity_exact(g, parts))
+
+
+def test_cnm_matches_reference_on_random_graphs():
+    rng = derive_rng(41)
+    for _ in range(400):
+        assert_cnm_matches_reference(random_graph(rng, max_n=40, min_n=2))
+
+
+def ring_lattice(n, reach):
+    return Graph([(f"n{i}", f"n{(i + d) % n}") for i in range(n) for d in range(1, reach + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph([(f"a{i}", f"b{j}") for i in range(a) for j in range(b)])
+
+
+def disjoint(copies, make):
+    edges = [(f"{c}.{u}", f"{c}.{v}") for c in range(copies) for u, v in make().edges()]
+    return Graph(edges)
+
+
+TIE_HEAVY = {
+    "rings": [ring_lattice(n, 1) for n in range(3, 33)],
+    "ring_lattices": [ring_lattice(n, r) for n in range(5, 33, 3) for r in (2, 3)],
+    "cliques": [complete(n) for n in range(2, 14)],
+    "complete_bipartite": [complete_bipartite(a, b) for a in range(1, 13) for b in (2, 3, 5)],
+    "disjoint_cliques": [disjoint(c, lambda k=k: complete(k)) for c in (2, 3, 5) for k in (3, 4, 6)],
+    "disjoint_paths": [disjoint(c, lambda k=k: path(k)) for c in (2, 4) for k in (2, 3, 5, 8)],
+    "star": [star(12)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(TIE_HEAVY))
+def test_cnm_matches_reference_on_tie_heavy_graphs(family):
+    for g in TIE_HEAVY[family]:
+        assert_cnm_matches_reference(g)
+
+
+GENERATORS = {
+    "er": lambda s: gen_er(300, 0.02, seed=s),
+    "core_periphery": lambda s: gen_core_periphery(20, 200, 0.9, 0.05, 0.01, seed=s),
+    "multi_core": lambda s: gen_multi_core_community(4, 50, 0.3, 0.01, seed=s),
+    "scatter": lambda s: gen_dyad_triad_scatter(100, 0.5, seed=s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_cnm_matches_reference_on_generators(name):
+    for seed in range(6):
+        assert_cnm_matches_reference(GENERATORS[name](seed))
+
+
+def test_cnm_matches_reference_on_er2000():
+    g = gen_er(2000, 0.005, seed=7)
+    assert g.edge_count() > 9000
+    assert_cnm_matches_reference(g)
+
+
 # ---------------------------------------------------------------------------
 # k-core / k-brace
 
@@ -554,6 +618,18 @@ def test_clustering_and_assortativity_match_networkx(name):
     # networkx's own rounding error reaches 1.1e-14 on the multi_core graph,
     # where r is 0.008: more than 1e-12 of r
     assert r == pytest.approx(nx.degree_assortativity_coefficient(h), rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_modularity_matches_networkx_rescore(name):
+    # re-score our partition; networkx's own greedy partition breaks ties differently
+    g = NX_GRAPHS[name]()
+    nx, h = as_networkx(g)
+    q, parts = max_modularity_cnm(g)
+    communities = [set() for _ in range(max(parts.values()) + 1)]
+    for u, c in parts.items():
+        communities[c].add(u)
+    assert q == pytest.approx(nx.community.modularity(h, communities), rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
