@@ -418,9 +418,8 @@ def complete_bipartite(a, b):
     return Graph([(f"a{i}", f"b{j}") for i in range(a) for j in range(b)])
 
 
-def disjoint(copies, make):
-    edges = [(f"{c}.{u}", f"{c}.{v}") for c in range(copies) for u, v in make().edges()]
-    return Graph(edges)
+def disjoint(copies, g):
+    return Graph([(f"{c}.{u}", f"{c}.{v}") for c in range(copies) for u, v in g.edges()])
 
 
 TIE_HEAVY = {
@@ -428,8 +427,8 @@ TIE_HEAVY = {
     "ring_lattices": [ring_lattice(n, r) for n in range(5, 33, 3) for r in (2, 3)],
     "cliques": [complete(n) for n in range(2, 14)],
     "complete_bipartite": [complete_bipartite(a, b) for a in range(1, 13) for b in (2, 3, 5)],
-    "disjoint_cliques": [disjoint(c, lambda k=k: complete(k)) for c in (2, 3, 5) for k in (3, 4, 6)],
-    "disjoint_paths": [disjoint(c, lambda k=k: path(k)) for c in (2, 4) for k in (2, 3, 5, 8)],
+    "disjoint_cliques": [disjoint(c, complete(k)) for c in (2, 3, 5) for k in (3, 4, 6)],
+    "disjoint_paths": [disjoint(c, path(k)) for c in (2, 4) for k in (2, 3, 5, 8)],
     "star": [star(12)],
 }
 
