@@ -429,11 +429,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--count-mode", choices=["components", "nodes"], default="components")
     p.add_argument("--lambda2-scope", choices=["lcc", "global"], default="lcc")
     p.add_argument("--lambda2-tol", type=_positive(float), default=1e-8,
-                   help="eigenpair residual bound for components above 128 nodes; "
-                        "smaller ones use a dense eigensolver")
+                   help="eigenpair residual bound of the shift-invert Lanczos for "
+                        "components above 128 nodes; smaller ones use a dense eigensolver")
     p.add_argument("--lambda2-max-iter", type=_positive(int), default=10_000,
-                   help="shift-invert iteration budget for components above "
-                        "128 nodes (exhausting it exits 3)")
+                   help="budget of sparse LU solves for lambda2 on components "
+                        "above 128 nodes (exhausting it exits 3)")
     p.add_argument("--path-sample-sources", type=int, default=0,
                    help="BFS source sample size for huge components (0 = exact)")
 

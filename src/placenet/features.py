@@ -39,11 +39,13 @@ DEFAULT_K_SET = (2, 4, 8, 16)
 _BFS_BLOCK = 512
 
 # Largest component that gets lambda2 from a dense eigvalsh. On random
-# Laplacians of 100-200 nodes, eigvalsh gave the same bits under 1 and 2
-# OpenBLAS threads at every size up to 144 and different last bits at most
-# sizes from 148 on; the shift-invert iteration used above the cap gives
-# the same bits under both.
+# Laplacians, eigvalsh gave the same bits under 1 and 2 OpenBLAS threads up
+# to 144 nodes and different last bits at most sizes from 148; shift-invert
+# Lanczos, used above the cap, gives the same bits under both.
 _DENSE_MAX = 128
+
+# Most Lanczos vectors kept for lambda2; a full basis restarts, so memory is O(n).
+_KRYLOV_MAX = 40
 
 class ConvergenceError(ArithmeticError):
     """Eigensolver exhausted its iteration budget; carries the residual."""
@@ -258,16 +260,16 @@ def algebraic_connectivity(
 
     Components of at most 128 nodes get their Laplacian spectrum from a
     dense symmetric eigensolver (``numpy.linalg.eigvalsh``), which needs no
-    iteration budget. Larger ones use shifted inverse iteration with the
-    constant eigenvector projected out of every iterate, accepted once the
+    iteration budget. Larger ones use Lanczos on the shift-inverted
+    Laplacian with the constant eigenvector projected out, accepted once the
     eigenpair residual drops to ``tol`` (which bounds the eigenvalue error
-    for symmetric matrices); ``tol`` and ``max_iter`` bind only this
-    iterative path.
+    for symmetric matrices) within ``max_iter`` sparse LU solves; ``tol``
+    and ``max_iter`` bind only this iterative path.
 
     Raises:
         ValueError: for an unknown scope, a ``tol`` that is not finite and
             > 0, or ``max_iter`` < 1.
-        ConvergenceError: if the iteration budget is exhausted.
+        ConvergenceError: if the solve budget is exhausted.
     """
     if scope not in ("lcc", "global"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -299,36 +301,42 @@ def _fiedler_value(lap: sp.csc_matrix, n: int, tol: float, max_iter: int) -> flo
     scale = float(lap.diagonal().max())
     if scale <= 0:
         return 0.0
-    # Small positive shift keeps the factorization non-singular; the
-    # constant eigenvector is projected out of every iterate instead.
+    # Small positive shift keeps the factorization non-singular; the constant
+    # eigenvector is projected out of every vector instead. L + eps*I is
+    # positive definite, so a symmetric ordering with diagonal pivots is safe.
     eps = 1e-5 * scale
-    lu = splu(lap + eps * sp.identity(n, format="csc"))
-
+    lu = splu(lap + eps * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0, options={"SymmetricMode": True})
     rng = derive_rng(0x51ED, n)
-    block = min(2, n - 1)
-    basis = rng.standard_normal((n, block))
-    basis -= basis.mean(axis=0)
-
-    residual = math.inf
+    # Lanczos with full reorthogonalization on w = (L + eps*I)^-1 q minus its
+    # mean (Ericsson & Ruhe 1980): the largest Ritz pair of the tridiagonal t
+    # tracks lambda2. A full basis restarts from its Ritz vector vec.
+    cap = min(_KRYLOV_MAX, n - 1)
+    basis, t = np.empty((cap, n)), np.zeros((cap, cap))
+    vec, k, residual = rng.standard_normal(n), 0, math.inf
     for _ in range(max_iter):
-        work = lu.solve(basis)
-        work -= work.mean(axis=0)
-        if not np.all(np.isfinite(work)):
-            basis = rng.standard_normal((n, block))
-            basis -= basis.mean(axis=0)
+        if k == 0:
+            vec -= vec.mean()
+            basis[0] = vec / np.linalg.norm(vec)
+        w = lu.solve(basis[k])
+        w -= w.mean()
+        if not np.all(np.isfinite(w)):
+            vec, k = rng.standard_normal(n), 0
             continue
-        q, _ = np.linalg.qr(work)
-        # Rayleigh-Ritz on the block: the bottom Ritz pair tracks the
-        # smallest eigenvalue of the projected operator even when the two
-        # lowest eigenvalues are clustered.
-        lq = lap @ q
-        theta, rot = np.linalg.eigh(q.T @ lq)
-        vec = q @ rot[:, 0]
-        rho = float(theta[0])
-        residual = float(np.linalg.norm(lap @ vec - rho * vec))
+        q = basis[:k + 1]
+        t[k, k] = basis[k] @ w
+        w -= (q @ w) @ q
+        w -= (q @ w) @ q
+        vec = np.linalg.eigh(t[:k + 1, :k + 1])[1][:, -1] @ q
+        lv = lap @ vec
+        rho = float(vec @ lv)
+        residual = float(np.linalg.norm(lv - rho * vec))
         if residual <= tol:
             return max(rho, 0.0)
-        basis = q @ rot
+        if k + 1 < cap:
+            t[k + 1, k] = np.linalg.norm(w)  # eigh reads the lower triangle
+            basis[k + 1] = w / t[k + 1, k]
+        k = (k + 1) % cap
     raise ConvergenceError(residual, max_iter)
 
 

@@ -111,10 +111,10 @@ p_out = 0.01
 count = 2
 """
 
-# SHA-256 of each output of `generate --seed 7` on PIN_CONFIG and of
-# features.csv under each count mode, recorded with the set-based graph
-# core of commit 85d70f0. The club graphs (150 nodes) take the iterative
-# lambda2 path, the others the dense one.
+# SHA-256 of each output of `generate --seed 7` on PIN_CONFIG, recorded
+# with the set-based graph core of commit 85d70f0, and of features.csv under
+# each count mode, recorded with the shift-invert Lanczos for lambda2. The
+# club graphs (150 nodes) take that iterative path, the others the dense one.
 PINNED_DIGESTS = {
     "graphs/club_000.edges": "bd57e732f5f8a329d032ed5e921f502a3e8253ca70c357483c224916079db986",
     "graphs/club_001.edges": "fd92c4da70ff55ae090f779fb6ef698f5c275542c389ff567137b23884933c15",
@@ -125,8 +125,8 @@ PINNED_DIGESTS = {
     "graphs/scatter_000.edges": "47f6f21a8a9b7c212f3776bbc9d1814432ad28153e7c6d674f01f748fd9f1375",
     "graphs/scatter_001.edges": "1784aa4038a7aee0b8b19fe20da45be5406a4720a4ffae7ccd890d6390a23e54",
     "manifest.jsonl": "f60d839c8e032e2a8cfd4664da680a6e8cb52fa2a4b8a5d34f2889647bafaf09",
-    "components/features.csv": "9b190c4ff3227216e0f58335b6239bf1be222367211eec520518c17fa7cecb88",
-    "nodes/features.csv": "ac416734338fecbb38c076ca2c670d00f7127ab88e835b6adaf82f358a1af8b6",
+    "components/features.csv": "c3fde20a65634150d439f2a36170493c36298c55b11fe6d24ff03719fa7ef20c",
+    "nodes/features.csv": "3d92752011c1c2a16877bcaaa077467ac3c3bf0a296e23125454b402cddd2e6b",
 }
 
 

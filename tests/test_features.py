@@ -292,17 +292,59 @@ LAMBDA2_GRAPHS.update(
 )
 
 
+def barbell(clique, bridge):
+    """Two cliques joined through a path of ``bridge`` extra nodes."""
+    ends = ["a0", *(f"p{i}" for i in range(bridge)), "b0"]
+    return Graph([(f"{s}{i}", f"{s}{j}") for s in "ab" for i in range(clique) for j in range(i)]
+                 + list(zip(ends, ends[1:])))
+
+
+def grid(side):
+    return Graph([(f"{r}.{c}", f"{r + dr}.{c + dc}") for r in range(side) for c in range(side)
+                  for dr, dc in ((0, 1), (1, 0)) if r + dr < side and c + dc < side])
+
+
+# Repeated or tiny lambda2 (cycle: lambda2 = lambda3; path: 4e-6), few
+# distinct eigenvalues, where the Krylov space is exhausted after a few
+# steps, and graphs like the large_graphs benchmark corpus.
+LAMBDA2_GRAPHS.update({
+    "cycle500": lambda: ring_lattice(500, 1),
+    "path1500": lambda: path(1500),
+    "k150_150": lambda: complete_bipartite(150, 150),
+    "star600": lambda: star(600),
+    "k200": lambda: complete(200),
+    "barbell60_40": lambda: barbell(60, 40),
+    "grid30": lambda: grid(30),
+    "lcc300": lambda: connected_with_spare(300, 8),
+    "er1600": lambda: gen_er(1600, 0.001875, seed=21),
+    "multi_core990": lambda: gen_multi_core_community(3, 330, 0.015, 0.0007, seed=22),
+    "core_periphery1600": lambda: gen_core_periphery(80, 1520, 0.3, 0.01, 0.0005, seed=23),
+    "scatter1000": lambda: gen_dyad_triad_scatter(1000, 0.5, seed=24),
+})
+
+
 @pytest.mark.parametrize("name", sorted(LAMBDA2_GRAPHS))
 def test_lambda2_matches_dense_eigenvalues(name):
     g = LAMBDA2_GRAPHS[name]()
     assert algebraic_connectivity(g) == pytest.approx(brute.lambda2_dense(g), abs=1e-8)
 
 
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("name", ["cycle500", "er", "lcc300"])
+def test_lambda2_restarts_from_ritz_vector(monkeypatch, cap, name):
+    # A basis of 2 or 3 vectors fills long before convergence, so every
+    # answer comes after many restarts.
+    monkeypatch.setattr(placenet.features, "_KRYLOV_MAX", cap)
+    g = LAMBDA2_GRAPHS[name]()
+    assert algebraic_connectivity(g) == pytest.approx(brute.lambda2_dense(g), abs=1e-8)
+
+
 def test_lambda2_bytes_do_not_depend_on_blas_threads(tmp_path):
     # On either side of the dense cap and well above it; the second run
-    # leaves the thread count to OpenBLAS, which uses every CPU.
+    # leaves the thread count to OpenBLAS, which uses every CPU. At n = 1500
+    # the Lanczos basis soon passes the size at which OpenBLAS may thread gemv.
     lines = []
-    for n in (128, 129, 190, 200):
+    for n in (128, 129, 190, 200, 1500):
         (tmp_path / f"g{n}.edges").write_text(serialize_edge_list(connected_with_spare(n, 9)))
         lines.append(json.dumps({"id": f"g{n}", "path": f"g{n}.edges", "category": "c"}))
     (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
