@@ -13,7 +13,6 @@ from placenet.forest import (
     Forest,
     ForestParams,
     cross_validated_auc,
-    predict_score,
     roc_auc,
     train_random_forest,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "global_importance_ranking",
     "largest_connected_component",
     "parse_edge_list",
-    "predict_score",
     "representative_graph",
     "roc_auc",
     "serialize_edge_list",

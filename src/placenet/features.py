@@ -95,18 +95,14 @@ class FeatureVector:
 _FIELD_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
-def _edge_list(g: Graph) -> list[tuple[int, int]]:
-    u, v = g.edge_indices()
-    return list(zip(u.tolist(), v.tolist()))
-
-
 def _edge_supports(g: Graph) -> tuple[list[tuple[int, int]], list[set[int]], list[int]]:
     """The edges ``(u, v)``, u < v, in ``edges()`` order, each node's
     neighbour set and each edge's support ``|N(u) & N(v)|``, all by node
     index."""
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     adj = [set(indices[indptr[i]:indptr[i + 1]]) for i in range(g.node_count())]
-    edges = _edge_list(g)
+    u, v = g.edge_indices()
+    edges = list(zip(u.tolist(), v.tolist()))
     return edges, adj, [len(adj[a] & adj[b]) for a, b in edges]
 
 
@@ -512,13 +508,6 @@ def k_core_subgraph(g: Graph, k: int) -> Graph:
     return g.subgraph(u for u, c in zip(g.nodes(), _core_numbers(g)) if c >= k)
 
 
-def k_core_components(g: Graph, k: int) -> int:
-    """Number of connected components of the k-core; 0 if the core is empty."""
-    edges = _edge_list(g)
-    return _level_counts(g.node_count(), edges, _core_edge_levels(g, edges), (k,),
-                         "components")[0]
-
-
 def k_brace_subgraph(g: Graph, k: int) -> Graph:
     """Fixpoint of deleting edges with fewer than k common endpoints' neighbors.
 
@@ -530,13 +519,6 @@ def k_brace_subgraph(g: Graph, k: int) -> Graph:
     ids = g.nodes()
     brace = _brace_numbers(edges, adj, support)
     return Graph((ids[u], ids[v]) for (u, v), b in zip(edges, brace) if b >= k)
-
-
-def k_brace_components(g: Graph, k: int) -> int:
-    """Number of connected components of the k-brace; 0 if it is empty."""
-    edges, adj, support = _edge_supports(g)
-    return _level_counts(len(adj), edges, _brace_numbers(edges, adj, support), (k,),
-                         "components")[0]
 
 
 def compute_features(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,9 +210,7 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
                 ]
     totals = per_tree.sum(axis=1, keepdims=True)
     np.divide(per_tree, totals, out=per_tree, where=totals > 0)
-    mean_imp = per_tree.mean(axis=0)
-    total = mean_imp.sum()
-    importances = mean_imp / total if total > 0 else np.full(d, 1.0 / d)
+    importances = mean_importance(per_tree)
     flat = np.array([node for tree in nodes for node in tree]).T
     columns = [flat[c].astype(np.int32 if c in (0, 2, 3) else float) for c in range(5)]
     ends = np.cumsum([len(tree) for tree in nodes]).tolist()
@@ -220,18 +218,16 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     return Forest(trees=trees, importances=importances, n_features=d)
 
 
-def predict_score(forest: Forest, x: Sequence[float]) -> float:
-    """Mean positive-class leaf probability over the forest's trees."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (forest.n_features,):
-        raise ValueError(
-            f"expected a vector of dimension {forest.n_features}, got {vec.shape}"
-        )
-    return float(predict_scores(forest, vec[None])[0])
+def mean_importance(importances) -> np.ndarray:
+    """Mean of importance vectors, renormalized to sum 1; uniform if all are 0."""
+    mean = np.mean(importances, axis=0)
+    total = mean.sum()
+    return mean / total if total > 0 else np.full(len(mean), 1.0 / len(mean))
 
 
 def predict_scores(forest: Forest, X) -> np.ndarray:
-    """``predict_score`` of every row of ``X``.
+    """Mean positive-class leaf probability over the forest's trees, for
+    every row of ``X``.
 
     All rows descend all trees at once, one level per step; each row's
     leaf probabilities are summed in tree order.
@@ -275,15 +271,28 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(lab) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc requires at least one sample of each class")
-    order = np.argsort(s, kind="stable")
-    ss = s[order]
-    ll = lab[order]
-    _, inverse, counts = np.unique(ss, return_inverse=True, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    doubled_rank = 2 * starts + counts + 1  # twice the average 1-based rank
-    rank2_pos = int(doubled_rank[inverse][ll].sum())
+    # ranks are half-integers, so twice their sum is an exact integer
+    rank2_pos = int(2 * average_ranks(s[:, None])[lab].sum())
     num2 = rank2_pos - n_pos * (n_pos + 1)
     return num2 / (2 * n_pos * n_neg)
+
+
+def average_ranks(X: np.ndarray) -> np.ndarray:
+    """Column-wise 1-based ranks of a 2-D array; ties share their average rank.
+
+    Equals ``scipy.stats.rankdata(X, axis=0, method="average")`` on finite
+    input: a tie run over sorted positions i..j gets rank (i + j + 2) / 2.
+    """
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    edge = np.ones((X.shape[0] + 1, X.shape[1]), dtype=bool)  # run boundaries
+    edge[1:-1] = xs[1:] != xs[:-1]
+    pos = np.arange(X.shape[0])[:, None]
+    first = np.maximum.accumulate(np.where(edge[:-1], pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(edge[1:], pos, len(pos) - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(X.shape)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=0)
+    return ranks
 
 
 def stratified_fold_assignment(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -352,9 +361,4 @@ def cross_validated_auc(
         )
         aucs.append(roc_auc(predict_scores(model, X_test), y_test))
         imps.append(model.importances)
-
-    importance = np.mean(imps, axis=0)
-    total = importance.sum()
-    if total > 0:
-        importance = importance / total
-    return CvResult(float(np.mean(aucs)), importance)
+    return CvResult(float(np.mean(aucs)), mean_importance(imps))

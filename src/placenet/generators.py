@@ -10,7 +10,7 @@ block membership so tests can assert ground truth without side channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -126,24 +126,6 @@ def gen_multi_core_community(
     return Graph(edges, nodes=nodes)
 
 
-_KIND_PARAMS: dict[str, tuple[tuple[str, type], ...]] = {
-    "erdos_renyi": (("n", int), ("p", float)),
-    "core_periphery": (
-        ("n_core", int),
-        ("n_periphery", int),
-        ("p_cc", float),
-        ("p_cp", float),
-        ("p_pp", float),
-    ),
-    "dyad_triad_scatter": (("n_components", int), ("dyad_fraction", float)),
-    "multi_core_community": (
-        ("n_cores", int),
-        ("core_size", int),
-        ("p_in", float),
-        ("p_out", float),
-    ),
-}
-
 _KIND_FUNCS = {
     "erdos_renyi": gen_er,
     "core_periphery": gen_core_periphery,
@@ -170,14 +152,16 @@ class ArchetypeSpec:
         if "kind" not in items:
             raise ValueError("archetype section is missing 'kind'")
         kind = items["kind"]
-        if kind not in _KIND_PARAMS:
+        if kind not in _KIND_FUNCS:
             raise ValueError(
                 f"unknown archetype kind {kind!r}; expected one of "
-                f"{sorted(_KIND_PARAMS)}"
+                f"{sorted(_KIND_FUNCS)}"
             )
-        wanted = _KIND_PARAMS[kind]
+        # the generator's parameters but the seed, in signature order
+        wanted = {name: typ for name, typ in get_type_hints(_KIND_FUNCS[kind]).items()
+                  if name not in ("seed", "return")}
         params: list[tuple[str, float | int]] = []
-        for name, typ in wanted:
+        for name, typ in wanted.items():
             if name not in items:
                 raise ValueError(f"archetype {kind!r} is missing parameter {name!r}")
             try:
@@ -186,8 +170,7 @@ class ArchetypeSpec:
                 raise ValueError(
                     f"archetype {kind!r}: parameter {name!r} must be {typ.__name__}"
                 )
-        known = {"kind"} | {name for name, _ in wanted}
-        extras = set(items) - known
+        extras = set(items) - {"kind", *wanted}
         if extras:
             raise ValueError(f"archetype {kind!r}: unknown parameters {sorted(extras)}")
         return cls(kind=kind, params=tuple(params), seed=seed)

@@ -106,19 +106,13 @@ def per_capita(
     categories = sorted({cat for _, cat in counts})
     table: dict[tuple[str, str], PrevalenceEntry] = {}
     for cat in categories:
-        rates: dict[str, float] = {}
-        weights: dict[str, float] = {}
-        for region, info in regions.items():
-            wc = counts.get((region, cat), Fraction(0))
-            rate = float(Fraction(1000) * Fraction(wc) / info.population)
-            rates[region] = rate
-            weights[region] = float(wc)
+        masses = {region: Fraction(counts.get((region, cat), 0)) for region in regions}
+        rates = {region: float(1000 * mass / regions[region].population)
+                 for region, mass in masses.items()}
         deciles = decile_assign(rates)
-        for region in regions:
+        for region, mass in masses.items():
             table[(region, cat)] = PrevalenceEntry(
-                weighted_count=weights[region],
-                per_1000=rates[region],
-                decile=deciles[region],
+                weighted_count=float(mass), per_1000=rates[region], decile=deciles[region]
             )
     return table
 

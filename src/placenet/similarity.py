@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from placenet.features import feature_names
-from placenet.forest import ForestParams, cross_validated_auc
+from placenet.forest import ForestParams, average_ranks, cross_validated_auc, mean_importance
 from placenet.seeding import derive_seed
 from placenet.tables import number, read_csv, write_csv
 
@@ -96,28 +96,19 @@ def auc_matrix(
             raise ValueError(f"category {c!r} has {len(rows[c])} graphs; needs >= {folds}")
     k = len(cats)
     values = np.full((k, k), 0.5)
-    importance_sum = None
-    pair_index = 0
+    results = []
     for i in range(k):
         for j in range(i + 1, k):
             result = cross_validated_auc(
                 rows[cats[i]],
                 rows[cats[j]],
                 folds=folds,
-                seed=derive_seed(seed, 37, pair_index),
+                seed=derive_seed(seed, 37, len(results)),
                 params=params,
             )
-            folded = max(result.mean_auc, 1.0 - result.mean_auc)
-            values[i, j] = values[j, i] = folded
-            if importance_sum is None:
-                importance_sum = result.importance.copy()
-            else:
-                importance_sum += result.importance
-            pair_index += 1
-    importance = importance_sum / pair_index
-    total = importance.sum()
-    if total > 0:
-        importance = importance / total
+            values[i, j] = values[j, i] = max(result.mean_auc, 1.0 - result.mean_auc)
+            results.append(result)
+    importance = mean_importance([r.importance for r in results])
     return AucMatrix(tuple(cats), values), importance
 
 
@@ -138,24 +129,6 @@ def global_importance_ranking(
     return [(names[f], rank + 1) for rank, f in enumerate(order)]
 
 
-def _average_ranks(X: np.ndarray) -> np.ndarray:
-    """Column-wise 1-based ranks of a 2-D array; ties share their average rank.
-
-    Equals ``scipy.stats.rankdata(X, axis=0, method="average")`` on finite
-    input: a tie run over sorted positions i..j gets rank (i + j + 2) / 2.
-    """
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    edge = np.ones((X.shape[0] + 1, X.shape[1]), dtype=bool)  # run boundaries
-    edge[1:-1] = xs[1:] != xs[:-1]
-    pos = np.arange(X.shape[0])[:, None]
-    first = np.maximum.accumulate(np.where(edge[:-1], pos, 0), axis=0)
-    last = np.minimum.accumulate(np.where(edge[1:], pos, len(pos) - 1)[::-1], axis=0)[::-1]
-    ranks = np.empty(X.shape)
-    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=0)
-    return ranks
-
-
 def representative_distances(
     ensemble: Ensemble,
     category: str,
@@ -164,7 +137,9 @@ def representative_distances(
     rank_scope: str = "pooled",
     weight_mode: str = "squared",
 ) -> list[tuple[str, float]]:
-    """Importance-weighted rank distance of each member to its category mean.
+    """Importance-weighted rank distance of each member to its category
+    mean, as ``(graph id, distance)`` pairs sorted by distance, then id: the
+    first is the category's representative.
 
     Every graph is ranked per feature (ascending value, ties get the
     average rank) over the pooled ensemble by default, or within the
@@ -180,9 +155,9 @@ def representative_distances(
     if weights.shape != (ensemble.dim,):
         raise ValueError(f"importance must have dimension {ensemble.dim}")
     if rank_scope == "pooled":
-        cat_ranks = _average_ranks(ensemble.X)[members]
+        cat_ranks = average_ranks(ensemble.X)[members]
     elif rank_scope == "per_category":
-        cat_ranks = _average_ranks(ensemble.X[members])
+        cat_ranks = average_ranks(ensemble.X[members])
     else:
         raise ValueError(f"unknown rank_scope {rank_scope!r}")
     mean_rank = cat_ranks.mean(axis=0)
@@ -194,7 +169,8 @@ def representative_distances(
     else:
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     dists = np.sqrt(d2)
-    return [(ensemble.ids[i], float(d)) for i, d in zip(members, dists)]
+    return sorted(((ensemble.ids[i], float(d)) for i, d in zip(members, dists)),
+                  key=lambda pair: (pair[1], pair[0]))
 
 
 def representative_graph(
@@ -206,10 +182,9 @@ def representative_graph(
     weight_mode: str = "squared",
 ) -> str:
     """Graph id nearest to the category's mean feature ranks (ties: smallest id)."""
-    dists = representative_distances(
+    return representative_distances(
         ensemble, category, importance, rank_scope=rank_scope, weight_mode=weight_mode
-    )
-    return min(dists, key=lambda pair: (pair[1], pair[0]))[0]
+    )[0][0]
 
 
 def write_auc_matrix_csv(matrix: AucMatrix, path: str) -> None:

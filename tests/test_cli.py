@@ -413,6 +413,61 @@ def test_bad_lambda2_budget_is_usage_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("embed", "--dim", "0"), ("embed", "--dim", "-3"), ("embed", "--epochs", "0"),
+    ("embed", "--epochs", "-1"), ("embed", "--learning-rate", "-0.1"),
+    ("embed", "--learning-rate", "nan"), ("embed", "--learning-rate", "0"),
+    ("embed", "--negatives", "-1"), ("embed", "--min-count", "-1"), ("embed", "--top-k", "-1"),
+    ("similarity", "--max-depth", "-1"), ("similarity", "--features-per-split", "-1"),
+    ("features", "--path-sample-sources", "-5"),
+])
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    manifest = write_path_manifest(tmp_path, 20)
+    inputs = {
+        "embed": ["--corpus", str(corpus), "--dim", "4", "--epochs", "1"],
+        "features": ["--manifest", str(manifest)],
+        # not read: the flags are checked first
+        "similarity": ["--features", str(tmp_path / "features.csv"),
+                       "--manifest", str(manifest)],
+    }
+    assert main([command, *inputs[command], "--out-dir", str(tmp_path / "out"),
+                 flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_is_a_valid_count_flag(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(tmp_path / "emb"),
+                 "--dim", "4", "--epochs", "1", "--negatives", "0", "--min-count", "0",
+                 "--top-k", "0"]) == 0
+    assert read_meta(tmp_path / "emb")["options"]["negatives"] == 0
+
+
+def test_represent_tie_names_smallest_id_and_copies_its_graph(tmp_path):
+    # g2 and g1 have identical rows, g2 listed first; g3 is the outlier
+    for gid, edges in [("g1", "a b\n"), ("g2", "c d\n"), ("g3", "e f\n")]:
+        (tmp_path / f"{gid}.edges").write_text(edges)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"id": gid, "path": f"{gid}.edges", "category": "c"}) + "\n"
+        for gid in ("g2", "g1", "g3")))
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,f0,f1\ng2,1.0,2.0\ng1,1.0,2.0\ng3,5.0,6.0\n")
+    importance = tmp_path / "importance.csv"
+    importance.write_text("feature,importance,rank\nf0,0.5,1\nf1,0.5,2\n")
+    assert main(["represent", "--features", str(features), "--manifest", str(manifest),
+                 "--importance", str(importance), "--out-dir", str(tmp_path / "rep")]) == 0
+    rows = (tmp_path / "rep" / "representatives.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["c", "g1"]]
+    copy = tmp_path / "rep" / "representatives" / "c__g1.edges"
+    assert copy.read_bytes() == (tmp_path / "g1.edges").read_bytes()
+    assert sorted(p.name for p in copy.parent.iterdir()) == ["c__g1.edges"]
+
+
 def test_undersized_similarity_category_is_data_error(tmp_path, capsys):
     run_pipeline(tmp_path)
     assert main(["similarity", "--features", str(tmp_path / "feat" / "features.csv"),

@@ -20,9 +20,7 @@ from placenet.features import (
     compute_features,
     degree_assortativity,
     feature_names,
-    k_brace_components,
     k_brace_subgraph,
-    k_core_components,
     k_core_subgraph,
     max_modularity_cnm,
     read_features_csv,
@@ -505,38 +503,47 @@ def test_cnm_matches_reference_on_er2000():
 # k-core / k-brace
 
 
+def core_and_brace(g, k):
+    """The k-core and k-brace columns of ``compute_features`` for one k, as
+    ``{count_mode: (core count, brace count)}``."""
+    out = {}
+    for mode in ("components", "nodes"):
+        fv = compute_features(g, (k,), count_mode=mode)
+        out[mode] = (fv.kcore_components[0], fv.kbrace_components[0])
+    return out
+
+
 def test_kcore_complete5():
-    assert k_core_components(complete(5), 4) == 1
+    assert core_and_brace(complete(5), 4) == {"components": (1, 0), "nodes": (5, 0)}
 
 
 def test_kcore_two_triangles():
     g = Graph([("a", "b"), ("a", "c"), ("b", "c"),
                ("d", "e"), ("d", "f"), ("e", "f")])
-    assert k_core_components(g, 2) == 2
+    assert core_and_brace(g, 2) == {"components": (2, 0), "nodes": (6, 0)}
 
 
 def test_kcore_tree_empty():
-    assert k_core_components(path(7), 2) == 0
-    assert k_core_components(star(6), 2) == 0
+    assert core_and_brace(path(7), 2) == {"components": (0, 0), "nodes": (0, 0)}
+    assert core_and_brace(star(6), 2) == {"components": (0, 0), "nodes": (0, 0)}
 
 
 def test_kbrace_complete4():
-    assert k_brace_components(complete(4), 2) == 1
+    assert core_and_brace(complete(4), 2) == {"components": (1, 1), "nodes": (4, 4)}
 
 
 def test_kbrace_triangle_dissolves():
-    assert k_brace_components(complete(3), 2) == 0
+    assert core_and_brace(complete(3), 2) == {"components": (1, 0), "nodes": (3, 0)}
 
 
 def test_kbrace_star_k1():
-    assert k_brace_components(star(5), 1) == 0
+    assert core_and_brace(star(5), 1) == {"components": (1, 0), "nodes": (6, 0)}
 
 
 def test_k_validation():
-    with pytest.raises(ValueError):
-        k_core_components(complete(3), 0)
-    with pytest.raises(ValueError):
-        k_brace_components(complete(3), 0)
+    for mode in ("components", "nodes"):
+        with pytest.raises(ValueError):
+            compute_features(complete(3), (0,), count_mode=mode)
 
 
 def test_core_and_brace_nesting_properties():
@@ -640,12 +647,16 @@ def test_k_brace_matches_networkx_k_truss(name):
 def test_k_core_matches_networkx(name):
     g = NX_GRAPHS[name]()
     nx, h = as_networkx(g)
-    for k in (1, 2, 4, 8, 16):
+    ks = (1, 2, 4, 8, 16)
+    components = compute_features(g, ks).kcore_components
+    nodes = compute_features(g, ks, count_mode="nodes").kcore_components
+    for k, n_comp, n_nodes in zip(ks, components, nodes):
         core = nx.k_core(h, k)
         sub = k_core_subgraph(g, k)
         assert set(sub.nodes()) == set(core.nodes())
         assert set(sub.edges()) == edge_set(core)
-        assert k_core_components(g, k) == nx.number_connected_components(core)
+        assert n_comp == nx.number_connected_components(core)
+        assert n_nodes == core.number_of_nodes()
 
 
 @pytest.mark.parametrize("name", sorted(NX_GRAPHS))

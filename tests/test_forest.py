@@ -9,7 +9,6 @@ from placenet.forest import (
     Dataset,
     ForestParams,
     cross_validated_auc,
-    predict_score,
     predict_scores,
     roc_auc,
     stratified_fold_assignment,
@@ -45,7 +44,7 @@ def test_constant_features_score_near_half():
     X = np.full((40, 3), 2.5)
     y = np.array([0, 1] * 20)
     model = train_random_forest(Dataset(X, y), ForestParams(n_trees=100, seed=4))
-    score = predict_score(model, X[0])
+    (score,) = predict_scores(model, X[:1])
     assert 0.35 <= score <= 0.65
 
 
@@ -67,15 +66,17 @@ def test_single_class_training_error():
 def test_training_point_rescored_toward_own_class():
     ds = separable_dataset(n_per_class=15, seed=5)
     model = train_random_forest(ds, ForestParams(n_trees=50, seed=2))
-    assert predict_score(model, ds.features[0]) <= 0.1
-    assert predict_score(model, ds.features[-1]) >= 0.9
+    assert predict_scores(model, ds.features[:1])[0] <= 0.1
+    assert predict_scores(model, ds.features[-1:])[0] >= 0.9
 
 
 def test_predict_dimension_mismatch():
     ds = separable_dataset()
     model = train_random_forest(ds, ForestParams(n_trees=3, seed=0))
     with pytest.raises(ValueError):
-        predict_score(model, [1.0, 2.0])
+        predict_scores(model, [[1.0, 2.0]])
+    with pytest.raises(ValueError):  # a vector, not a one-row matrix
+        predict_scores(model, [1.0, 2.0, 3.0])
 
 
 def leaf_tree(p):
@@ -88,10 +89,10 @@ def test_predict_score_is_mean_of_leaf_probabilities():
     from placenet.forest import Forest
 
     one = Forest(trees=[leaf_tree(1.0)], importances=np.ones(2) / 2, n_features=2)
-    assert predict_score(one, [0.0, 0.0]) == 1.0
+    assert predict_scores(one, [[0.0, 0.0]]).tolist() == [1.0]
     two = Forest(trees=[leaf_tree(1.0), leaf_tree(0.0)],
                  importances=np.ones(2) / 2, n_features=2)
-    assert predict_score(two, [0.0, 0.0]) == 0.5
+    assert predict_scores(two, [[0.0, 0.0]]).tolist() == [0.5]
 
 
 def test_importances_nonnegative_sum_to_one():
@@ -205,7 +206,7 @@ def test_batch_prediction_equals_per_row_tree_walk():
                 total += float(t.prob[i])
             expected.append(total / len(model.trees))
         assert predict_scores(model, probe).tolist() == expected
-        assert predict_score(model, probe[-1]) == expected[-1]
+        assert predict_scores(model, probe[-1:]).tolist() == expected[-1:]
 
 
 # ---------------------------------------------------------------------------

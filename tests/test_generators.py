@@ -2,11 +2,7 @@
 
 import pytest
 
-from placenet.features import (
-    avg_clustering,
-    avg_path_length_lcc,
-    k_core_components,
-)
+from placenet.features import avg_clustering, avg_path_length_lcc, compute_features
 from placenet.generators import (
     ArchetypeSpec,
     gen_core_periphery,
@@ -60,7 +56,7 @@ def test_core_periphery_two_core_forms_single_component():
     hits = 0
     for seed in range(40):
         g = gen_core_periphery(8, 16, 1.0, 0.5, 0.0, seed=seed)
-        if k_core_components(g, 2) == 1:
+        if compute_features(g, (2,)).kcore_components == (1,):
             hits += 1
     assert hits >= 38
 
@@ -85,7 +81,8 @@ def test_scatter_path_length_always_one():
 
 def test_multi_core_disjoint_cliques():
     g = gen_multi_core_community(3, 6, 1.0, 0.0, seed=7)
-    assert k_core_components(g, 4) == 3
+    assert compute_features(g, (4,)).kcore_components == (3,)
+    assert compute_features(g, (4,), count_mode="nodes").kcore_components == (18,)
     assert len(connected_components(g)) == 3
 
 
@@ -99,9 +96,13 @@ def test_parameter_validation():
 
 
 def test_archetype_round_trip_and_build():
-    items = {"kind": "core_periphery", "n_core": "4", "n_periphery": "6",
-             "p_cc": "1.0", "p_cp": "0.0", "p_pp": "0.0"}
+    items = {"kind": "core_periphery", "p_pp": "0.0", "p_cp": "0.0", "p_cc": "1.0",
+             "n_periphery": "6", "n_core": "4"}
     spec = ArchetypeSpec.from_items(items, seed=11)
+    # the generator's signature order, whatever the order of the items
+    assert spec.params == (("n_core", 4), ("n_periphery", 6), ("p_cc", 1.0),
+                           ("p_cp", 0.0), ("p_pp", 0.0))
+    assert [type(value) for _, value in spec.params] == [int, int, float, float, float]
     g = spec.build()
     assert g == gen_core_periphery(4, 6, 1.0, 0.0, 0.0, seed=11)
     rebuilt = ArchetypeSpec.from_items(dict(items), seed=11)
@@ -119,6 +120,13 @@ def test_archetype_validation_errors():
         ArchetypeSpec.from_items(
             {"kind": "erdos_renyi", "n": "5", "p": "0.1", "zzz": "1"}, seed=0
         )
+    with pytest.raises(ValueError, match="parameter 'n' must be int"):
+        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5.5", "p": "0.1"}, seed=0)
+    with pytest.raises(ValueError, match="parameter 'p' must be float"):
+        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5", "p": "x"}, seed=0)
+    with pytest.raises(ValueError, match="'seed'"):  # the seed is not a parameter
+        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5", "p": "0.1", "seed": "1"},
+                                 seed=0)
 
 
 def _tuple_sample(pairs, p, rng):

@@ -11,11 +11,10 @@ from scipy.stats import rankdata
 import brute
 import placenet
 from placenet.features import feature_names
-from placenet.forest import ForestParams
+from placenet.forest import ForestParams, average_ranks
 from placenet.seeding import derive_rng
 from placenet.similarity import (
     Ensemble,
-    _average_ranks,
     auc_matrix,
     global_importance_ranking,
     representative_distances,
@@ -149,7 +148,7 @@ def test_average_ranks_equal_scipy_rankdata_bit_for_bit():
         if trial % 5 == 0:
             X *= -1.0  # mixes -0.0 and 0.0, which must tie
         want = rankdata(X, axis=0, method="average")
-        got = _average_ranks(X)
+        got = average_ranks(X)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (X, got, want)
 
@@ -206,8 +205,13 @@ def test_single_feature_median_rank_selected():
 
 
 def test_identical_members_tie_break_smallest_id():
-    ens = Ensemble.from_rows(("c", gid, [1.0, 2.0]) for gid in ["g9", "g3", "g7"])
-    assert representative_graph(ens, "c", [0.5, 0.5]) == "g3"
+    rows = [("c", gid, [1.0, 2.0]) for gid in ["g9", "g3", "g7"]]
+    assert representative_graph(Ensemble.from_rows(rows), "c", [0.5, 0.5]) == "g3"
+    # with an outlier, the tied members come first, in id order
+    dists = representative_distances(
+        Ensemble.from_rows(rows + [("c", "g1", [5.0, 6.0])]), "c", [0.5, 0.5])
+    assert [gid for gid, _ in dists] == ["g3", "g7", "g9", "g1"]
+    assert dists == sorted(dists, key=lambda pair: (pair[1], pair[0]))
 
 
 def test_zero_weight_feature_is_ignored():
