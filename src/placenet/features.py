@@ -474,7 +474,6 @@ def _level_counts(
     One union-find adds the edges from the top level down and reads the
     count at each level, so the whole k-set costs one pass.
     """
-    _check_k(k_set)
     top = max(edge_level, default=0)
     edges_at: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
     for edge, level in zip(edges, edge_level):
@@ -543,6 +542,7 @@ def compute_features(
     """
     if count_mode not in ("components", "nodes"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
+    _check_k(k_set)
     n = g.node_count()
     m = g.edge_count()
     if n == 0:

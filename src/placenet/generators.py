@@ -133,6 +133,13 @@ _KIND_FUNCS = {
     "multi_core_community": gen_multi_core_community,
 }
 
+# each generator's parameters but the seed, with their types, in signature order
+_KIND_PARAMS = {
+    kind: {name: typ for name, typ in get_type_hints(func).items()
+           if name not in ("seed", "return")}
+    for kind, func in _KIND_FUNCS.items()
+}
+
 
 @dataclass(frozen=True)
 class ArchetypeSpec:
@@ -152,14 +159,12 @@ class ArchetypeSpec:
         if "kind" not in items:
             raise ValueError("archetype section is missing 'kind'")
         kind = items["kind"]
-        if kind not in _KIND_FUNCS:
+        if kind not in _KIND_PARAMS:
             raise ValueError(
                 f"unknown archetype kind {kind!r}; expected one of "
-                f"{sorted(_KIND_FUNCS)}"
+                f"{sorted(_KIND_PARAMS)}"
             )
-        # the generator's parameters but the seed, in signature order
-        wanted = {name: typ for name, typ in get_type_hints(_KIND_FUNCS[kind]).items()
-                  if name not in ("seed", "return")}
+        wanted = _KIND_PARAMS[kind]
         params: list[tuple[str, float | int]] = []
         for name, typ in wanted.items():
             if name not in items:

@@ -541,9 +541,10 @@ def test_kbrace_star_k1():
 
 
 def test_k_validation():
-    for mode in ("components", "nodes"):
-        with pytest.raises(ValueError):
-            compute_features(complete(3), (0,), count_mode=mode)
+    for g in (complete(3), Graph([])):
+        for mode in ("components", "nodes"):
+            with pytest.raises(ValueError):
+                compute_features(g, (0,), count_mode=mode)
 
 
 def test_core_and_brace_nesting_properties():
