@@ -145,17 +145,18 @@ def _k_set(text: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(ks))
 
 
-def _positive(kind, zero_ok: bool = False):
+def _positive(kind, low=None):
     """Argument type: a finite ``kind`` (``int`` or ``float``) value > 0,
-    or >= 0 with ``zero_ok``."""
+    or >= ``low`` when that is given."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+        if not (0 < value if low is None else low <= value) or value == math.inf:
+            bound = "> 0" if low is None else f">= {low}"
             raise argparse.ArgumentTypeError(
-                f"expected a finite {kind.__name__} {'>=' if zero_ok else '>'} 0, got {text!r}")
+                f"expected a finite {kind.__name__} {bound}, got {text!r}")
         return value
     return parse
 
@@ -434,18 +435,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda2-max-iter", type=_positive(int), default=10_000,
                    help="budget of sparse LU solves for lambda2 on components "
                         "above 128 nodes (exhausting it exits 3)")
-    p.add_argument("--path-sample-sources", type=_positive(int, zero_ok=True), default=0,
+    p.add_argument("--path-sample-sources", type=_positive(int, low=0), default=0,
                    help="BFS source sample size for huge components (0 = exact)")
 
     p = command("similarity", _cmd_similarity, "pairwise category AUC matrix + importance")
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--max-depth", type=_positive(int, zero_ok=True), default=0,
+    p.add_argument("--folds", type=_positive(int, low=2), default=10)
+    p.add_argument("--n-trees", type=_positive(int), default=100)
+    p.add_argument("--max-depth", type=_positive(int, low=0), default=0,
                    help="0 = unbounded")
-    p.add_argument("--min-leaf", type=int, default=1)
-    p.add_argument("--features-per-split", type=_positive(int, zero_ok=True), default=0,
+    p.add_argument("--min-leaf", type=_positive(int), default=1)
+    p.add_argument("--features-per-split", type=_positive(int, low=0), default=0,
                    help="0 = ceil(sqrt(d))")
 
     p = command("represent", _cmd_represent, "pick each category's representative graph",
@@ -460,10 +461,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", type=Path, required=True, help="JSONL of {categories: [...]}")
     p.add_argument("--dim", type=_positive(int), default=64)
     p.add_argument("--epochs", type=_positive(int), default=15)
-    p.add_argument("--negatives", type=_positive(int, zero_ok=True), default=5)
+    p.add_argument("--negatives", type=_positive(int, low=0), default=5)
     p.add_argument("--learning-rate", type=_positive(float), default=0.025)
-    p.add_argument("--min-count", type=_positive(int, zero_ok=True), default=1)
-    p.add_argument("--top-k", type=_positive(int, zero_ok=True), default=300)
+    p.add_argument("--min-count", type=_positive(int, low=0), default=1)
+    p.add_argument("--top-k", type=_positive(int, low=0), default=300)
     p.add_argument("--seeds", type=Path, help="JSON object: place type -> seed label")
     p.add_argument("--allowlist", type=Path, help="optional file of permitted labels")
 

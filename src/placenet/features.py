@@ -152,44 +152,17 @@ def degree_assortativity(g: Graph) -> float:
     return min(1.0, max(-1.0, r))
 
 
-@dataclass(frozen=True)
-class LccArrays:
-    """CSR adjacency of a graph's largest connected component.
-
-    Rows follow the component's sorted node ids: row ``i`` lists its
-    neighbours, sorted, at ``indices[starts[i]:starts[i] + degrees[i]]``.
-    ``spanning`` is true when the component holds every node of the graph.
-    """
-
-    starts: np.ndarray
-    indices: np.ndarray
-    degrees: np.ndarray
-    spanning: bool
-
-
-def lcc_arrays(g: Graph) -> LccArrays:
-    """Extract the largest connected component once, as CSR arrays."""
-    lcc = largest_connected_component(g)
-    return LccArrays(lcc.indptr[:-1], lcc.indices, np.diff(lcc.indptr),
-                     lcc.node_count() == g.node_count())
-
-
-def _as_lcc(g: Graph | LccArrays) -> LccArrays:
-    return g if isinstance(g, LccArrays) else lcc_arrays(g)
-
-
 def avg_path_length_lcc(
-    g: Graph | LccArrays,
+    g: Graph,
     sample_sources: int | None = None,
     seed: int = 0,
 ) -> float:
     """Mean shortest-path length over node pairs of the largest component.
 
-    ``g`` is a graph or the ``lcc_arrays`` of one. Exact over all sources
-    by default. When ``sample_sources`` is set and the component is larger,
-    distances are averaged over the BFS trees of that many uniformly
-    sampled source nodes instead (seeded, deterministic). Components with
-    fewer than 2 nodes map to 0.
+    Exact over all sources by default. When ``sample_sources`` is set and
+    the component is larger, distances are averaged over the BFS trees of
+    that many uniformly sampled source nodes instead (seeded,
+    deterministic). Components with fewer than 2 nodes map to 0.
 
     The BFS runs bit-parallel (Then et al., PVLDB 2014): sources are taken
     in blocks of 512, one bit each, and every level ORs the frontier bits
@@ -199,8 +172,8 @@ def avg_path_length_lcc(
     about 64 bytes per directed edge. Hop counts are summed as exact
     integers, so the result equals a per-source BFS bit for bit.
     """
-    lcc = _as_lcc(g)
-    n = len(lcc.degrees)
+    lcc = largest_connected_component(g)
+    n = lcc.node_count()
     if n < 2:
         return 0.0
     if sample_sources is not None and 0 < sample_sources < n:
@@ -209,7 +182,7 @@ def avg_path_length_lcc(
     else:
         sources = np.arange(n)
     total = sum(
-        _distance_sum(lcc.starts, lcc.indices, sources[lo:lo + _BFS_BLOCK])
+        _distance_sum(lcc.indptr[:-1], lcc.indices, sources[lo:lo + _BFS_BLOCK])
         for lo in range(0, len(sources), _BFS_BLOCK)
     )
     return total / (len(sources) * (n - 1))
@@ -242,17 +215,16 @@ def _distance_sum(starts: np.ndarray, indices: np.ndarray, sources: np.ndarray) 
 
 
 def algebraic_connectivity(
-    g: Graph | LccArrays,
+    g: Graph,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     scope: str = "lcc",
 ) -> float:
     """Second-smallest Laplacian eigenvalue (Fiedler value).
 
-    ``g`` is a graph or the ``lcc_arrays`` of one. Computed on the largest
-    connected component by default; with ``scope="global"`` the result is
-    0 unless that component holds every node. Components with fewer than
-    2 nodes map to 0.
+    Computed on the largest connected component by default; with
+    ``scope="global"`` the result is 0 unless that component holds every
+    node. Components with fewer than 2 nodes map to 0.
 
     Components of at most 128 nodes get their Laplacian spectrum from a
     dense symmetric eigensolver (``numpy.linalg.eigvalsh``), which needs no
@@ -267,40 +239,44 @@ def algebraic_connectivity(
             > 0, or ``max_iter`` < 1.
         ConvergenceError: if the solve budget is exhausted.
     """
+    _check_lambda2(scope, tol, max_iter)
+    lcc = largest_connected_component(g)
+    n = lcc.node_count()
+    if n < 2 or (scope == "global" and n < g.node_count()):
+        return 0.0
+    degrees = np.diff(lcc.indptr)
+    rows = np.repeat(np.arange(n), degrees)
+    if n <= _DENSE_MAX:
+        lap = np.zeros((n, n))
+        lap[rows, lcc.indices] = -1.0
+        lap[np.diag_indices(n)] = degrees
+        return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
+    diag = np.arange(n)
+    lap = sp.csc_matrix(
+        (
+            np.concatenate([np.full(len(rows), -1.0), degrees.astype(float)]),
+            (np.concatenate([rows, diag]), np.concatenate([lcc.indices, diag])),
+        ),
+        shape=(n, n),
+    )
+    return _fiedler_value(lap, tol, max_iter)
+
+
+def _check_lambda2(scope: str, tol: float, max_iter: int) -> None:
     if scope not in ("lcc", "global"):
         raise ValueError(f"unknown scope {scope!r}")
     if not (0 < tol < math.inf and max_iter >= 1):
         raise ValueError(f"need a finite tol > 0 and max_iter >= 1, "
                          f"got {tol!r} and {max_iter!r}")
-    lcc = _as_lcc(g)
-    n = len(lcc.degrees)
-    if n < 2 or (scope == "global" and not lcc.spanning):
-        return 0.0
-    rows = np.repeat(np.arange(n), lcc.degrees)
-    if n <= _DENSE_MAX:
-        lap = np.zeros((n, n))
-        lap[rows, lcc.indices] = -1.0
-        lap[np.diag_indices(n)] = lcc.degrees
-        return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
-    diag = np.arange(n)
-    lap = sp.csc_matrix(
-        (
-            np.concatenate([np.full(len(rows), -1.0), lcc.degrees.astype(float)]),
-            (np.concatenate([rows, diag]), np.concatenate([lcc.indices, diag])),
-        ),
-        shape=(n, n),
-    )
-    return _fiedler_value(lap, n, tol, max_iter)
 
 
-def _fiedler_value(lap: sp.csc_matrix, n: int, tol: float, max_iter: int) -> float:
-    scale = float(lap.diagonal().max())
-    if scale <= 0:
-        return 0.0
-    # Small positive shift keeps the factorization non-singular; the constant
+def _fiedler_value(lap: sp.csc_matrix, tol: float, max_iter: int) -> float:
+    n = lap.shape[0]
+    # Small positive shift (lap is connected and has > 128 nodes, so its
+    # largest degree is >= 1) keeps the factorization non-singular; the constant
     # eigenvector is projected out of every vector instead. L + eps*I is
     # positive definite, so a symmetric ordering with diagonal pivots is safe.
-    eps = 1e-5 * scale
+    eps = 1e-5 * float(lap.diagonal().max())
     lu = splu(lap + eps * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0, options={"SymmetricMode": True})
     rng = derive_rng(0x51ED, n)
@@ -543,6 +519,7 @@ def compute_features(
     if count_mode not in ("components", "nodes"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
     _check_k(k_set)
+    _check_lambda2(lambda2_scope, lambda2_tol, lambda2_max_iter)
     n = g.node_count()
     m = g.edge_count()
     if n == 0:
@@ -554,7 +531,6 @@ def compute_features(
     degree_variance = float(degrees.astype(float).var())  # population variance
 
     modularity = max_modularity_cnm(g)[0] if m >= 1 else 0.0
-    lcc = lcc_arrays(g)  # shared by the path length and lambda2
     # one support pass for clustering and the brace peel
     edges, adj, support = _edge_supports(g)
     clustering = _clustering(degrees.tolist(), edges, support)
@@ -570,10 +546,10 @@ def compute_features(
         avg_clustering=clustering,
         degree_assortativity=degree_assortativity(g),
         avg_path_length_lcc=avg_path_length_lcc(
-            lcc, sample_sources=path_sample_sources, seed=path_sample_seed
+            g, sample_sources=path_sample_sources, seed=path_sample_seed
         ),
         algebraic_connectivity=algebraic_connectivity(
-            lcc, tol=lambda2_tol, max_iter=lambda2_max_iter, scope=lambda2_scope
+            g, tol=lambda2_tol, max_iter=lambda2_max_iter, scope=lambda2_scope
         ),
         max_modularity=modularity,
         kcore_components=tuple(kcore),

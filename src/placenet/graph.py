@@ -25,11 +25,13 @@ class Graph:
     graph is stored as its sorted node ids and one int32 CSR adjacency,
     built once here: node ``i`` is ``nodes()[i]`` and its neighbours are
     ``indices[indptr[i]:indptr[i + 1]]``, sorted. Both arrays are
-    read-only, so instances are safe to share across concurrent feature
+    read-only. The one other field, the largest component kept by
+    ``largest_connected_component``, is filled idempotently with an equal
+    graph, so instances are safe to share across concurrent feature
     computations.
     """
 
-    __slots__ = ("_nodes", "_index", "indptr", "indices")
+    __slots__ = ("_nodes", "_index", "indptr", "indices", "_lcc")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()):
         us: list[str] = []
@@ -55,6 +57,7 @@ class Graph:
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self._nodes, self._index, self.indptr, self.indices = ids, index, indptr, indices
+        self._lcc = None
         return self
 
     def node_count(self) -> int:
@@ -97,10 +100,9 @@ class Graph:
 
     def edges(self) -> list[tuple[str, str]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        ids = self._nodes
-        indptr, indices = self.indptr.tolist(), self.indices.tolist()
-        return [(ids[u], ids[v]) for u in range(len(ids))
-                for v in indices[indptr[u]:indptr[u + 1]] if v > u]
+        name = self._nodes.__getitem__
+        u, v = self.edge_indices()
+        return list(zip(map(name, u.tolist()), map(name, v.tolist())))
 
     def subgraph(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on ``keep`` (unknown ids are ignored)."""
@@ -217,16 +219,19 @@ def connected_components(g: Graph) -> list[list[str]]:
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component.
+    """Induced subgraph on the largest component, as a new graph.
 
     Size ties go to the component containing the lexicographically smallest
-    node id; the empty graph maps to the empty graph.
+    node id; the empty graph maps to the empty graph. The first call keeps
+    the result on ``g`` and later calls return that same object, so a graph
+    is searched for components once.
     """
-    if g.node_count() == 0:
-        return Graph()
-    roots = np.array(_component_roots(g))
-    # argmax keeps the first maximum, the component of the smallest id
-    return g._induced(roots == np.bincount(roots).argmax())
+    if g._lcc is None:
+        roots = np.array(_component_roots(g), dtype=np.intp)
+        # argmax keeps the first maximum, the component of the smallest id;
+        # minlength gives the empty graph an empty mask
+        g._lcc = g._induced(roots == np.bincount(roots, minlength=1).argmax())
+    return g._lcc
 
 
 def bfs_distances(g: Graph, source: str) -> dict[str, int]:

@@ -419,6 +419,8 @@ def test_bad_lambda2_budget_is_usage_error(tmp_path, capsys, flag, value):
     ("embed", "--learning-rate", "nan"), ("embed", "--learning-rate", "0"),
     ("embed", "--negatives", "-1"), ("embed", "--min-count", "-1"), ("embed", "--top-k", "-1"),
     ("similarity", "--max-depth", "-1"), ("similarity", "--features-per-split", "-1"),
+    ("similarity", "--n-trees", "0"), ("similarity", "--min-leaf", "0"),
+    ("similarity", "--folds", "1"),
     ("features", "--path-sample-sources", "-5"),
 ])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flag, value):

@@ -12,6 +12,7 @@ import pytest
 import brute
 import placenet
 import placenet.features
+import placenet.graph
 from placenet.features import (
     ConvergenceError,
     algebraic_connectivity,
@@ -34,6 +35,7 @@ from placenet.generators import (
 )
 from placenet.graph import (
     Graph,
+    _component_roots,
     bfs_distances,
     largest_connected_component,
     serialize_edge_list,
@@ -256,6 +258,12 @@ def test_lambda2_global_scope_disconnected_is_zero():
     assert algebraic_connectivity(g, scope="global") == 0.0
 
 
+def test_lambda2_global_scope_after_lcc_call_is_zero():
+    g = Graph([("a", "b"), ("b", "c"), ("x", "y")])
+    assert algebraic_connectivity(g) == pytest.approx(1.0)
+    assert algebraic_connectivity(g, scope="global") == 0.0
+
+
 def test_lambda2_degenerate_components():
     assert algebraic_connectivity(Graph()) == 0.0
     assert algebraic_connectivity(Graph(nodes=["a", "b"])) == 0.0
@@ -279,6 +287,17 @@ def test_lambda2_budget_does_not_bind_dense_components():
 def test_lambda2_rejects_bad_budget(options, n):
     with pytest.raises(ValueError, match="finite tol > 0 and max_iter >= 1"):
         algebraic_connectivity(path(n), **options)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"lambda2_scope": "bogus"}, "unknown scope 'bogus'"),
+    ({"lambda2_tol": math.nan}, "finite tol > 0"),
+    ({"lambda2_max_iter": 0}, "max_iter >= 1"),
+], ids=["scope", "tol-nan", "max_iter-0"])
+@pytest.mark.parametrize("g", [Graph(), path(10)], ids=["empty", "path10"])
+def test_compute_features_rejects_bad_lambda2_options(g, options, message):
+    with pytest.raises(ValueError, match=message):
+        compute_features(g, **options)
 
 
 LAMBDA2_GRAPHS = {
@@ -724,9 +743,9 @@ def test_compute_features_extracts_one_lcc(monkeypatch, options):
 
     def counting(g):
         calls.append(g)
-        return largest_connected_component(g)
+        return _component_roots(g)
 
-    monkeypatch.setattr(placenet.features, "largest_connected_component", counting)
+    monkeypatch.setattr(placenet.graph, "_component_roots", counting)
     for g in (gen_er(60, 0.05, seed=3), path(200)):
         calls.clear()
         compute_features(g, **options)

@@ -113,6 +113,16 @@ def test_lcc_empty_graph():
     assert largest_connected_component(Graph()) == Graph()
 
 
+@pytest.mark.parametrize("g", [
+    Graph([("a", "b"), ("x", "y"), ("y", "z")]), Graph([("a", "b"), ("b", "c")]), Graph(),
+], ids=["disconnected", "connected", "empty"])
+def test_lcc_is_kept_as_a_distinct_graph(g):
+    lcc = largest_connected_component(g)
+    assert largest_connected_component(g) is lcc
+    assert lcc is not g
+    assert lcc._lcc is None  # the kept graph holds no reference back: no cycle
+
+
 def test_connected_components_ordering():
     g = Graph([("x", "y")], nodes=["a"])
     assert connected_components(g) == [["a"], ["x", "y"]]
