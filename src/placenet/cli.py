@@ -57,7 +57,7 @@ from placenet.similarity import (
     write_auc_matrix_csv,
     write_importance_csv,
 )
-from placenet.tables import open_text, read_jsonl, read_text, write_csv, write_jsonl
+from placenet.tables import open_text, read_jsonl, read_text, unique, write_csv, write_jsonl
 
 
 class _UsageError(Exception):
@@ -119,19 +119,14 @@ def _read_manifest(path: Path) -> list[dict]:
     seen: set[str] = set()
 
     def entry(obj) -> dict:
-        if not isinstance(obj, dict) or not {"id", "path", "category"} <= set(obj):
-            raise ValueError("entry needs id, path and category")
-        if obj["id"] in seen:
-            raise ValueError(f"duplicate id {obj['id']!r}")
-        seen.add(obj["id"])
+        if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(key), str) and obj[key] for key in ("id", "path", "category")
+        ):
+            raise ValueError("entry needs id, path and category as non-empty strings")
+        unique(seen, obj["id"], "id")
         return obj
 
     return read_jsonl(path, entry)
-
-
-def _resolve(base: Path, rel: str) -> Path:
-    p = Path(rel)
-    return p if p.is_absolute() else base / p
 
 
 def _k_set(text: str) -> tuple[int, ...]:
@@ -247,7 +242,7 @@ def _cmd_features(args, out_dir: Path):
     rows = []
     graph_digests: dict[str, str] = {}
     for entry in _read_manifest(args.manifest):
-        gpath = _resolve(args.manifest.parent, entry["path"])
+        gpath = args.manifest.parent / entry["path"]  # an absolute path stays as it is
         text = read_text(gpath)
         try:
             graph = parse_edge_list(text)
@@ -319,7 +314,7 @@ def _cmd_represent(args, out_dir: Path):
         )[0]
         rows.append([category, rep_id, repr(dist)])
         rel = f"representatives/{_safe_name(category)}__{_safe_name(rep_id)}.edges"
-        src = _resolve(args.manifest.parent, path_of[rep_id])
+        src = args.manifest.parent / path_of[rep_id]
         (out_dir / rel).write_bytes(src.read_bytes())
         written.append(rel)
     write_csv(out_dir / "representatives.csv", ["category", "graph_id", "distance"], rows)
@@ -355,11 +350,8 @@ def _cmd_embed(args, out_dir: Path):
         raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
     allow: set[str] | None = None
     if args.allowlist:
-        allow = {
-            line.strip()
-            for line in read_text(args.allowlist).splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        }
+        lines = (line.strip() for line in read_text(args.allowlist).splitlines())
+        allow = {line for line in lines if line and not line.startswith("#")}
     rows = []
     for place_type in sorted(seeds_map):
         seed_label = seeds_map[place_type]

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 # bfs_distances and connected_components are unused here; the benchmark's
 # tracer wraps them under these names.
@@ -31,7 +31,7 @@ from placenet.graph import (  # noqa: F401
     union,
 )
 from placenet.seeding import derive_rng
-from placenet.tables import number, read_csv, write_csv
+from placenet.tables import number, read_csv, unique, write_csv
 
 DEFAULT_K_SET = (2, 4, 8, 16)
 
@@ -44,11 +44,11 @@ _BFS_BLOCK = 512
 # Lanczos, used above the cap, gives the same bits under both.
 _DENSE_MAX = 128
 
-# Most Lanczos vectors kept for lambda2; a full basis restarts, so memory is O(n).
-_KRYLOV_MAX = 40
+# ARPACK's ncv for lambda2: Lanczos vectors kept between implicit restarts.
+_KRYLOV_MAX = 20
 
 class ConvergenceError(ArithmeticError):
-    """Eigensolver exhausted its iteration budget; carries the residual."""
+    """Eigensolver failed or exhausted its budget; carries the residual."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -228,16 +228,17 @@ def algebraic_connectivity(
 
     Components of at most 128 nodes get their Laplacian spectrum from a
     dense symmetric eigensolver (``numpy.linalg.eigvalsh``), which needs no
-    iteration budget. Larger ones use Lanczos on the shift-inverted
-    Laplacian with the constant eigenvector projected out, accepted once the
-    eigenpair residual drops to ``tol`` (which bounds the eigenvalue error
-    for symmetric matrices) within ``max_iter`` sparse LU solves; ``tol``
-    and ``max_iter`` bind only this iterative path.
+    iteration budget. Larger ones use ARPACK's Lanczos (``eigsh``) on the
+    shift-inverted Laplacian with the constant vector projected out,
+    accepted once the eigenpair residual drops to ``tol`` (which bounds the
+    eigenvalue error for symmetric matrices) within ``max_iter`` sparse LU
+    solves; ``tol`` and ``max_iter`` bind only this iterative path.
 
     Raises:
         ValueError: for an unknown scope, a ``tol`` that is not finite and
             > 0, or ``max_iter`` < 1.
-        ConvergenceError: if the solve budget is exhausted.
+        ConvergenceError: if the solve budget is exhausted, a solve is not
+            finite, ARPACK fails or the residual stays above ``tol``.
     """
     _check_lambda2(scope, tol, max_iter)
     lcc = largest_connected_component(g)
@@ -251,15 +252,11 @@ def algebraic_connectivity(
         lap[rows, lcc.indices] = -1.0
         lap[np.diag_indices(n)] = degrees
         return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
+    eps = 1e-5 * float(degrees.max())  # > 0, as the component is connected
     diag = np.arange(n)
-    lap = sp.csc_matrix(
-        (
-            np.concatenate([np.full(len(rows), -1.0), degrees.astype(float)]),
-            (np.concatenate([rows, diag]), np.concatenate([lcc.indices, diag])),
-        ),
-        shape=(n, n),
-    )
-    return _fiedler_value(lap, tol, max_iter)
+    shifted = sp.csc_matrix((np.concatenate([np.full(len(rows), -1.0), degrees + eps]), (
+        np.concatenate([rows, diag]), np.concatenate([lcc.indices, diag]))), shape=(n, n))
+    return _fiedler_value(shifted, eps, tol, max_iter)
 
 
 def _check_lambda2(scope: str, tol: float, max_iter: int) -> None:
@@ -270,46 +267,44 @@ def _check_lambda2(scope: str, tol: float, max_iter: int) -> None:
                          f"got {tol!r} and {max_iter!r}")
 
 
-def _fiedler_value(lap: sp.csc_matrix, tol: float, max_iter: int) -> float:
-    n = lap.shape[0]
-    # Small positive shift (lap is connected and has > 128 nodes, so its
-    # largest degree is >= 1) keeps the factorization non-singular; the constant
-    # eigenvector is projected out of every vector instead. L + eps*I is
-    # positive definite, so a symmetric ordering with diagonal pivots is safe.
-    eps = 1e-5 * float(lap.diagonal().max())
-    lu = splu(lap + eps * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0, options={"SymmetricMode": True})
-    rng = derive_rng(0x51ED, n)
-    # Lanczos with full reorthogonalization on w = (L + eps*I)^-1 q minus its
-    # mean (Ericsson & Ruhe 1980): the largest Ritz pair of the tridiagonal t
-    # tracks lambda2. A full basis restarts from its Ritz vector vec.
-    cap = min(_KRYLOV_MAX, n - 1)
-    basis, t = np.empty((cap, n)), np.zeros((cap, cap))
-    vec, k, residual = rng.standard_normal(n), 0, math.inf
-    for _ in range(max_iter):
-        if k == 0:
-            vec -= vec.mean()
-            basis[0] = vec / np.linalg.norm(vec)
-        w = lu.solve(basis[k])
-        w -= w.mean()
-        if not np.all(np.isfinite(w)):
-            vec, k = rng.standard_normal(n), 0
-            continue
-        q = basis[:k + 1]
-        t[k, k] = basis[k] @ w
-        w -= (q @ w) @ q
-        w -= (q @ w) @ q
-        vec = np.linalg.eigh(t[:k + 1, :k + 1])[1][:, -1] @ q
-        lv = lap @ vec
-        rho = float(vec @ lv)
-        residual = float(np.linalg.norm(lv - rho * vec))
-        if residual <= tol:
-            return max(rho, 0.0)
-        if k + 1 < cap:
-            t[k + 1, k] = np.linalg.norm(w)  # eigh reads the lower triangle
-            basis[k + 1] = w / t[k + 1, k]
-        k = (k + 1) % cap
-    raise ConvergenceError(residual, max_iter)
+def _fiedler_value(shifted: sp.csc_matrix, eps: float, tol: float, max_iter: int) -> float:
+    """lambda2 of L from ``shifted`` = L + eps*I, positive definite, by ARPACK's
+    Lanczos on its inverse with the constant vector projected out, whose largest
+    eigenvalue is 1 / (lambda2 + eps) (Ericsson & Ruhe 1980)."""
+    n = shifted.shape[0]
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+              options={"SymmetricMode": True})  # diagonal pivots: positive definite
+    solves, last = 0, np.empty(n)
+
+    def rayleigh(v: np.ndarray) -> tuple[float, float]:  # quotient and residual
+        v = v / np.linalg.norm(v)
+        sv = shifted @ v
+        theta = float(v @ sv)
+        return theta, float(np.linalg.norm(sv - theta * v))
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        last[:] = x
+        if solves < max_iter:
+            solves += 1
+            w = lu.solve(x)
+            if np.isfinite(w).all():
+                return w - w.mean()
+        raise ConvergenceError(rayleigh(x)[1], solves)
+
+    v0 = derive_rng(0x51ED, n).standard_normal(n)
+    # ARPACK's tolerance is relative to 1 / (lambda2 + eps); scaled by a bound
+    # on ||L + eps*I||, its stop implies the residual bound checked below.
+    try:
+        vec = eigsh(LinearOperator((n, n), matvec=solve, dtype=float), k=1, which="LA",
+                    v0=v0 - v0.mean(), ncv=min(_KRYLOV_MAX, n - 1),
+                    tol=tol / (2 * shifted.diagonal().max()))[1][:, 0]
+    except ArpackError as err:
+        raise ConvergenceError(rayleigh(last)[1], solves) from err
+    theta, residual = rayleigh(vec)
+    if residual > tol:
+        raise ConvergenceError(residual, solves)
+    return max(theta - eps, 0.0)
 
 
 def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
@@ -575,8 +570,9 @@ def write_features_csv(
 
 def read_features_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV; returns (graph ids, feature names, value matrix)."""
+    seen: set[str] = set()
     header, rows = read_csv(path, None, lambda graph_id, *cells: (
-        graph_id, [number(c) for c in cells]
+        unique(seen, graph_id, "graph id"), [number(c) for c in cells]
     ))
     if header[:1] != ["graph_id"]:
         raise ValueError(f"{path}: line 1: missing feature CSV header")

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from placenet.tables import number, read_csv, write_csv
+from placenet.tables import number, read_csv, unique, write_csv
 
 BIN_KEYS = ("rucc", "income_decile", "education_decile", "foreign_born_decile")
 
@@ -209,9 +209,10 @@ def load_places_csv(path: str) -> list[PlaceRecord]:
 
 def load_regions_csv(path: str) -> dict[str, RegionInfo]:
     """Columns: region_id, population, rucc, income, education, foreign_born_share."""
+    seen: set[str] = set()
 
     def region(region_id, population, rucc, income, education, share):
-        return region_id, RegionInfo(
+        return unique(seen, region_id, "region_id"), RegionInfo(
             population=number(population, int),
             rucc=number(rucc, int),
             income=number(income),
@@ -226,8 +227,10 @@ def load_regions_csv(path: str) -> dict[str, RegionInfo]:
 def load_external_counts_csv(path: str) -> dict[str, dict[str, float]]:
     """Columns: region_id, category, count. Returns category -> region -> count."""
     out: dict[str, dict[str, float]] = {}
-    _, rows = read_csv(path, ["region_id", "category", "count"],
-                       lambda region_id, category, count: (region_id, category, number(count)))
+    seen: set[tuple[str, str]] = set()
+    _, rows = read_csv(path, ["region_id", "category", "count"], lambda region, category, count: (
+        *unique(seen, (region, category), "region_id and category"), number(count)
+    ))
     for region_id, category, count in rows:
         out.setdefault(category, {})[region_id] = count
     return out

@@ -15,7 +15,7 @@ import numpy as np
 from placenet.features import feature_names
 from placenet.forest import ForestParams, average_ranks, cross_validated_auc, mean_importance
 from placenet.seeding import derive_seed
-from placenet.tables import number, read_csv, write_csv
+from placenet.tables import number, read_csv, unique, write_csv
 
 
 class Ensemble:
@@ -33,10 +33,8 @@ class Ensemble:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"graph {ids[bad[0]]!r}: features must be finite")
-        self.ids = tuple(ids)
-        if len(set(self.ids)) < len(self.ids):
-            dup = next(g for g in self.ids if self.ids.count(g) > 1)
-            raise ValueError(f"duplicate graph id {dup!r}")
+        seen: set[str] = set()
+        self.ids = tuple(unique(seen, graph_id, "graph id") for graph_id in ids)
         X.setflags(write=False)
         self.categories = np.array(categories, dtype=object)
         self.categories.setflags(write=False)

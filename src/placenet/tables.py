@@ -81,6 +81,14 @@ def read_csv(
     return header, out
 
 
+def unique(seen: set, key: T, what: str) -> T:
+    """``key``, added to ``seen``; ``ValueError`` if it is there already."""
+    if key in seen:
+        raise ValueError(f"duplicate {what} {key!r}")
+    seen.add(key)
+    return key
+
+
 def number(cell: str, kind: type = float):
     """A finite ``float`` (or an ``int``) from one cell; ``ValueError`` otherwise."""
     value = kind(cell)

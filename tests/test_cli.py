@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import placenet.features
 from placenet.cli import main
 from placenet.features import read_features_csv
 from placenet.graph import parse_edge_list
@@ -113,8 +116,10 @@ count = 2
 
 # SHA-256 of each output of `generate --seed 7` on PIN_CONFIG, recorded
 # with the set-based graph core of commit 85d70f0, and of features.csv under
-# each count mode, recorded with the shift-invert Lanczos for lambda2. The
-# club graphs (150 nodes) take that iterative path, the others the dense one.
+# each count mode, recorded with ARPACK's shift-invert Lanczos (eigsh) for
+# lambda2. The club graphs (150 nodes) take that iterative path, the others
+# the dense one. Moving from the hand-written Lanczos loop to eigsh changed
+# only their algebraic_connectivity cells, by at most 7.2e-16 relative.
 PINNED_DIGESTS = {
     "graphs/club_000.edges": "bd57e732f5f8a329d032ed5e921f502a3e8253ca70c357483c224916079db986",
     "graphs/club_001.edges": "fd92c4da70ff55ae090f779fb6ef698f5c275542c389ff567137b23884933c15",
@@ -125,8 +130,8 @@ PINNED_DIGESTS = {
     "graphs/scatter_000.edges": "47f6f21a8a9b7c212f3776bbc9d1814432ad28153e7c6d674f01f748fd9f1375",
     "graphs/scatter_001.edges": "1784aa4038a7aee0b8b19fe20da45be5406a4720a4ffae7ccd890d6390a23e54",
     "manifest.jsonl": "f60d839c8e032e2a8cfd4664da680a6e8cb52fa2a4b8a5d34f2889647bafaf09",
-    "components/features.csv": "c3fde20a65634150d439f2a36170493c36298c55b11fe6d24ff03719fa7ef20c",
-    "nodes/features.csv": "3d92752011c1c2a16877bcaaa077467ac3c3bf0a296e23125454b402cddd2e6b",
+    "components/features.csv": "37a15f78a66f12e6f3b256e1dcb57965dae10e86fabe79c471e0f0caea85fe6b",
+    "nodes/features.csv": "920df6b3fcf7ce10bb0e1c876dbebabb42e99546f78dc2d7741b7003702038fa",
 }
 
 
@@ -398,6 +403,45 @@ def test_numerical_error_names_the_edge_list(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out"), "--lambda2-max-iter", "1"]) == 3
     err = capsys.readouterr().err
     assert f"numerical error: {tmp_path / 'p.edges'}: no convergence after 1 " in err, err
+
+
+def test_non_finite_solve_is_numerical_error_naming_the_edge_list(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(placenet.features, "splu",
+                        lambda *args, **kwargs: SimpleNamespace(solve=lambda x: x * math.nan))
+    manifest = write_path_manifest(tmp_path, 200)
+    assert main(["features", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: {tmp_path / 'p.edges'}: no convergence after 1 " in err, err
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("features", {"id": ["x"], "path": "p.edges", "category": "c"}),
+    ("features", {"id": "q", "path": 5, "category": "c"}),
+    ("features", {"id": "", "path": "p.edges", "category": "c"}),
+    ("similarity", {"id": "q", "path": "p.edges", "category": ["c"]}),
+], ids=["list-id", "int-path", "empty-id", "list-category"])
+def test_manifest_fields_must_be_non_empty_strings(tmp_path, capsys, command, entry):
+    manifest = write_path_manifest(tmp_path, 20)
+    with manifest.open("a") as fh:
+        fh.write(json.dumps(entry) + "\n")
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,f0\np,1.0\n")
+    inputs = {"features": [], "similarity": ["--features", str(features)]}
+    assert main([command, *inputs[command], "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: line 2: entry needs id, path and category as non-empty strings" in err
+
+
+def test_repeated_graph_id_in_features_csv_names_file_and_line(tmp_path, capsys):
+    manifest = write_path_manifest(tmp_path, 20)
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,f0\np,1.0\np,2.0\n")
+    assert main(["similarity", "--features", str(features), "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"data error: {features}: line 3: duplicate graph id 'p'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import brute
 import placenet
@@ -272,7 +274,30 @@ def test_lambda2_degenerate_components():
 def test_lambda2_budget_exhaustion_raises_with_residual():
     with pytest.raises(ConvergenceError) as exc:
         algebraic_connectivity(path(200), max_iter=1)
-    assert exc.value.residual > 0
+    assert 0 < exc.value.residual < math.inf
+
+
+def nan_factor(*args, **kwargs):
+    """Stands in for ``splu``: a factor whose every solve is NaN."""
+    return SimpleNamespace(solve=lambda x: x * math.nan)
+
+
+def test_lambda2_non_finite_solve_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(placenet.features, "splu", nan_factor)
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as exc:
+        algebraic_connectivity(path(200))
+    assert 0 < exc.value.residual < math.inf
+
+
+def test_lambda2_arpack_failure_raises_with_residual(monkeypatch):
+    def failing_eigsh(op, v0, **_):
+        op.matvec(v0)
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((len(v0), 0)))
+
+    monkeypatch.setattr(placenet.features, "eigsh", failing_eigsh)
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as exc:
+        algebraic_connectivity(path(200))
+    assert 0 < exc.value.residual < math.inf
 
 
 def test_lambda2_budget_does_not_bind_dense_components():
@@ -349,8 +374,8 @@ def test_lambda2_matches_dense_eigenvalues(name):
 @pytest.mark.parametrize("cap", [2, 3])
 @pytest.mark.parametrize("name", ["cycle500", "er", "lcc300"])
 def test_lambda2_restarts_from_ritz_vector(monkeypatch, cap, name):
-    # A basis of 2 or 3 vectors fills long before convergence, so every
-    # answer comes after many restarts.
+    # ARPACK with ncv = 2 or 3 fills its basis long before convergence, so
+    # every answer comes after many implicit restarts.
     monkeypatch.setattr(placenet.features, "_KRYLOV_MAX", cap)
     g = LAMBDA2_GRAPHS[name]()
     assert algebraic_connectivity(g) == pytest.approx(brute.lambda2_dense(g), abs=1e-8)
@@ -776,6 +801,13 @@ def test_features_csv_rejects_non_finite_cells(tmp_path, cell):
     lines[2] = ",".join(cells)
     out.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{out}: line 3: non-finite"):
+        read_features_csv(str(out))
+
+
+def test_features_csv_rejects_repeated_graph_id(tmp_path):
+    out = tmp_path / "features.csv"
+    out.write_text("graph_id,a,b\ng1,1.0,2.0\ng2,1.0,2.0\ng1,3.0,4.0\n")
+    with pytest.raises(ValueError, match=f"{out}: line 4: duplicate graph id 'g1'"):
         read_features_csv(str(out))
 
 

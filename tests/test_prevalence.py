@@ -1,6 +1,7 @@
 """Fractional counting, rates, deciles, bin medians and log correlation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from placenet.prevalence import (
     bin_medians,
     decile_assign,
     fractional_counts,
+    load_external_counts_csv,
     load_places_csv,
     load_regions_csv,
     log_pearson,
@@ -279,3 +281,23 @@ def test_regions_csv_loader(tmp_path):
     )
     with pytest.raises(ValueError, match="line 2"):
         load_regions_csv(str(bad))
+
+
+def test_regions_csv_rejects_repeated_region(tmp_path):
+    # without the check, the second row would replace the first
+    path = tmp_path / "regions.csv"
+    path.write_text(
+        "region_id,population,rucc,income,education,foreign_born_share\n"
+        "r1,100,3,50000,0.25,0.08\n"
+        "r1,5,3,50000,0.25,0.08\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: duplicate region_id 'r1'")):
+        load_regions_csv(str(path))
+
+
+def test_external_counts_csv_rejects_repeated_region_and_category(tmp_path):
+    path = tmp_path / "external.csv"
+    path.write_text("region_id,category,count\nr1,park,3\nr2,park,4\nr1,bar,1\nr1,park,5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 5: duplicate region_id and category ('r1', 'park')")):
+        load_external_counts_csv(str(path))
