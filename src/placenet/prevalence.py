@@ -227,12 +227,14 @@ def load_regions_csv(path: str) -> dict[str, RegionInfo]:
 def load_external_counts_csv(path: str) -> dict[str, dict[str, float]]:
     """Columns: region_id, category, count. Returns category -> region -> count."""
     out: dict[str, dict[str, float]] = {}
-    seen: set[tuple[str, str]] = set()
-    _, rows = read_csv(path, ["region_id", "category", "count"], lambda region, category, count: (
-        *unique(seen, (region, category), "region_id and category"), number(count)
-    ))
-    for region_id, category, count in rows:
-        out.setdefault(category, {})[region_id] = count
+
+    def row(region_id: str, category: str, count: str) -> None:
+        by_region = out.setdefault(category, {})
+        if region_id in by_region:
+            raise ValueError(f"duplicate region_id and category {(region_id, category)!r}")
+        by_region[region_id] = number(count)
+
+    read_csv(path, ["region_id", "category", "count"], row)
     return out
 
 
