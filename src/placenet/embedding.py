@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from placenet.seeding import derive_rng
-from placenet.tables import open_text, read_jsonl
+from placenet.tables import read_jsonl
 
 MAX_RECORD_LABELS = 3
 
@@ -32,10 +32,6 @@ class EmbeddingModel:
 
     def vector(self, label: str) -> np.ndarray:
         return self.vectors[self._index[label]]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 def load_corpus_jsonl(path: str) -> list[tuple[str, ...]]:
@@ -85,9 +81,11 @@ def train_skipgram(
     seed. The model records the mean negative-sampling loss per epoch.
 
     Raises:
-        ValueError: if the corpus is empty or min_count filtering leaves
-            no vocabulary.
+        ValueError: if learning_rate is not finite and positive, the corpus
+            is empty or min_count filtering leaves no vocabulary.
     """
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     records = [tuple(sorted(set(r))) for r in records]
     if not records:
         raise ValueError("corpus is empty")
@@ -112,35 +110,28 @@ def train_skipgram(
     w_out = np.zeros((v_size, dim))
 
     kept = [tuple(index[l] for l in rec if l in index) for rec in records]
-    pairs_per_epoch = sum(len(r) * (len(r) - 1) for r in kept)
+    record_pairs = [[(c, o) for c in rec for o in rec if o != c] for rec in kept]
+    pairs_per_epoch = sum(map(len, record_pairs))
     total_steps = max(1, pairs_per_epoch * epochs)
-    lr_floor = learning_rate * 1e-4
 
     epoch_losses: list[float] = []
     step = 0
     for _ in range(epochs):
         order = rng.permutation(len(kept))
-        pairs: list[tuple[int, int]] = []
-        for ri in order:
-            rec = kept[ri]
-            for c in rec:
-                for o in rec:
-                    if o != c:
-                        pairs.append((c, o))
-        if not pairs:
+        if not pairs_per_epoch:
             epoch_losses.append(0.0)
             continue
-        negs = rng.choice(v_size, size=(len(pairs), negatives), p=noise)
+        pairs = np.array([p for ri in order for p in record_pairs[ri]], dtype=np.intp)
+        negs = rng.choice(v_size, size=(pairs_per_epoch, negatives), p=noise)
+        targets = np.column_stack((pairs[:, 1], negs))
+        rates = learning_rate * np.maximum(
+            1e-4, 1.0 - np.arange(step, step + pairs_per_epoch) / total_steps
+        )
+        step += pairs_per_epoch
         loss = 0.0
-        for (center, context), neg_row in zip(pairs, negs):
-            lr = learning_rate * max(1e-4, 1.0 - step / total_steps)
-            lr = max(lr, lr_floor)
-            step += 1
-            targets = np.empty(1 + negatives, dtype=np.intp)
-            targets[0] = context
-            targets[1:] = neg_row
+        for center, row, lr in zip(pairs[:, 0].tolist(), targets, rates.tolist()):
             vec = w_in[center]
-            out = w_out[targets]
+            out = w_out[row]
             scores = out @ vec
             # -log sigma(s_pos) - sum log sigma(-s_neg), numerically stable
             loss += float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
@@ -148,8 +139,8 @@ def train_skipgram(
             grad[0] -= 1.0
             grad *= lr
             w_in[center] = vec - grad @ out
-            np.add.at(w_out, targets, -np.outer(grad, vec))
-        epoch_losses.append(loss / len(pairs))
+            np.add.at(w_out, row, -np.outer(grad, vec))
+        epoch_losses.append(loss / pairs_per_epoch)
 
     return EmbeddingModel(labels=vocab, vectors=w_in, epoch_losses=epoch_losses)
 
@@ -186,20 +177,3 @@ def save_model_tsv(model: EmbeddingModel, path: str) -> None:
         for label, vec in zip(model.labels, model.vectors):
             fh.write(label + "\t" + "\t".join(repr(float(x)) for x in vec) + "\n")
 
-
-def load_model_tsv(path: str) -> EmbeddingModel:
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"{path}: line {line_no}: expected label + vector")
-            labels.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    if rows and len({len(r) for r in rows}) != 1:
-        raise ValueError(f"{path}: inconsistent vector dimensions")
-    return EmbeddingModel(labels=labels, vectors=np.asarray(rows, dtype=float))

@@ -342,23 +342,19 @@ def cross_validated_auc(
     fold_a = stratified_fold_assignment(len(A), folds, rng)
     fold_b = stratified_fold_assignment(len(B), folds, rng)
 
+    def labelled(in_a: np.ndarray, in_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The chosen rows of A (label 1), then those of B (label 0)."""
+        labels = [np.ones(in_a.sum(), dtype=np.int8), np.zeros(in_b.sum(), dtype=np.int8)]
+        return np.vstack([A[in_a], B[in_b]]), np.concatenate(labels)
+
     aucs = []
     imps = []
     for f in range(folds):
-        X_train = np.vstack([A[fold_a != f], B[fold_b != f]])
-        y_train = np.concatenate(
-            [np.ones((fold_a != f).sum(), dtype=np.int8),
-             np.zeros((fold_b != f).sum(), dtype=np.int8)]
-        )
         model = train_random_forest(
-            Dataset(X_train, y_train),
+            Dataset(*labelled(fold_a != f, fold_b != f)),
             replace(params, seed=derive_seed(seed, 29, f)),
         )
-        X_test = np.vstack([A[fold_a == f], B[fold_b == f]])
-        y_test = np.concatenate(
-            [np.ones((fold_a == f).sum(), dtype=np.int8),
-             np.zeros((fold_b == f).sum(), dtype=np.int8)]
-        )
+        X_test, y_test = labelled(fold_a == f, fold_b == f)
         aucs.append(roc_auc(predict_scores(model, X_test), y_test))
         imps.append(model.importances)
     return CvResult(float(np.mean(aucs)), mean_importance(imps))

@@ -172,9 +172,11 @@ def serialize_edge_list(g: Graph) -> str:
     lines, so ``parse_edge_list(serialize_edge_list(g)) == g`` for every
     graph. Output is byte-deterministic.
     """
-    out = [f"{u} {v}" for u, v in g.edges()]
+    names = g.nodes()
+    u, v = g.edge_indices()
+    out = [f"{names[i]} {names[j]}" for i, j in zip(u.tolist(), v.tolist())]
     indptr = g.indptr.tolist()
-    out.extend(f"{u} {u}" for u, a, b in zip(g.nodes(), indptr, indptr[1:]) if a == b)
+    out.extend(f"{w} {w}" for w, a, b in zip(names, indptr, indptr[1:]) if a == b)
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -196,13 +196,14 @@ def log_pearson(
 
 
 def load_places_csv(path: str) -> list[PlaceRecord]:
-    """Columns: page_id, region_id, categories (semicolon-joined)."""
+    """Columns: page_id (unique), region_id, categories (semicolon-joined)."""
+    seen: set[str] = set()
 
     def record(page_id: str, region_id: str, categories: str) -> PlaceRecord:
         cats = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
         if not cats:
             raise ValueError(f"record {page_id!r} rejected: empty category set")
-        return PlaceRecord(page_id, region_id, cats)
+        return PlaceRecord(unique(seen, page_id, "page_id"), region_id, cats)
 
     return read_csv(path, ["page_id", "region_id", "categories"], record)[1]
 

@@ -307,6 +307,45 @@ def test_embed_command(tmp_path):
     assert all(len(line.split("\t")) == 9 for line in model_lines)
 
 
+EMBED_PIN_CORPUS = (
+    [["CAFE", "COFFEE"]] * 6 + [["BAKERY", "CAFE", "COFFEE"]] * 3
+    + [["CHURCH", "TEMPLE"]] * 5 + [["PARK"]] * 2 + [["CAFE", "FOOD"]] * 4
+    + [["GALLERY", "MUSEUM", "PARK"]] * 2 + [["CAFE", "RARE"]]
+)
+
+# SHA-256 of the embed outputs on EMBED_PIN_CORPUS, recorded with the
+# trainer that rebuilt each update's targets and learning rate inside its
+# inner loop. RARE occurs once, so --min-count 2 drops it.
+EMBED_PINNED_DIGESTS = {
+    (): {
+        "model.tsv": "621ca9b0a4b66edbe7a9a453dd1b2a3edd45c7254203df9402e42717ce31e8f1",
+        "losses.csv": "02efca7c3889df9c60295c8b93747f26fa57643d8a9fc9aeaedccf3a6db2c074",
+        "neighbors.csv": "aa1468f279f070043127b1227b4809851196c200857b8d529c527272911f5485",
+    },
+    ("--negatives", "0", "--min-count", "2"): {
+        "model.tsv": "8c8d03fb4fbe6255aa10ed6e22af199c724d4a792920c7e31c1011cbfd5e032a",
+        "losses.csv": "6ca98552b460ecc8b34e35569424b9713460d8bef809735de5b469e93312bfac",
+        "neighbors.csv": "8839932b57e8141424bd987e4765042bf975d52698e18a03ae9f18f73b864696",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(EMBED_PINNED_DIGESTS), ids=["default", "no-negatives"])
+def test_embed_bytes_are_pinned(tmp_path, flags):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"categories": r}) + "\n" for r in EMBED_PIN_CORPUS))
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"cafes": "CAFE", "worship": "CHURCH"}))
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--seeds", str(seeds), *flags]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("model.tsv", "losses.csv", "neighbors.csv")
+    }
+    assert digests == EMBED_PINNED_DIGESTS[flags]
+
+
 def test_prevalence_command(tmp_path):
     (tmp_path / "places.csv").write_text(
         "page_id,region_id,categories\n"
@@ -707,6 +746,7 @@ BAD_TABLES = [
     ("importance.csv", "after blank", "feature,importance,rank\nx,0.75,1\n\ny,oops,2\n", 4),
     ("places.csv", "short", "page_id,region_id,categories\np1,r1,cafe\np2,r2\n", 3),
     ("places.csv", "after blank", "page_id,region_id,categories\np1,r1,cafe\n\np2,r2,;\n", 4),
+    ("places.csv", "repeated page_id", "page_id,region_id,categories\np1,r1,park\np1,r1,park\n", 3),
     ("regions.csv", "short", "region_id,population,rucc,income,education,foreign_born_share\n"
                              "r1,1000,1,50000,0.3,0.1\nr2,2000,5,40000,0.2\n", 3),
     ("regions.csv", "nan", "region_id,population,rucc,income,education,foreign_born_share\n"

@@ -1,4 +1,4 @@
-"""Skip-gram training, nearest-neighbor retrieval, corpus and model I/O."""
+"""Skip-gram training, nearest-neighbor retrieval and corpus loading."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from placenet.embedding import (
     EmbeddingModel,
     load_corpus_jsonl,
-    load_model_tsv,
     nearest_categories,
-    save_model_tsv,
     train_skipgram,
 )
 from placenet.seeding import derive_rng
@@ -67,6 +65,12 @@ def test_empty_vocabulary_error():
         train_skipgram([("solo",)], min_count=5)
     with pytest.raises(ValueError):
         train_skipgram([])
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_learning_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        train_skipgram([("a", "b")], epochs=1, learning_rate=rate)
 
 
 def test_determinism():
@@ -138,18 +142,8 @@ def test_corpus_jsonl_errors(tmp_path):
         load_corpus_jsonl(str(empty))
 
 
-def test_model_tsv_round_trip(tmp_path):
-    model = small_model()
-    path = tmp_path / "model.tsv"
-    save_model_tsv(model, str(path))
-    loaded = load_model_tsv(str(path))
-    assert loaded.labels == model.labels
-    np.testing.assert_array_equal(loaded.vectors, model.vectors)
-
-
 def test_model_contains_and_dim():
     model = EmbeddingModel(labels=["u", "v"], vectors=np.eye(2))
     assert "u" in model and "w" not in model
-    assert model.dim == 2
     ranked = nearest_categories(model, "u", top_k=5)
     assert ranked == [("v", 0.0)]

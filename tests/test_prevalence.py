@@ -295,6 +295,14 @@ def test_regions_csv_rejects_repeated_region(tmp_path):
         load_regions_csv(str(path))
 
 
+def test_places_csv_rejects_repeated_page_id(tmp_path):
+    # without the check, fractional_counts would give the page a mass of 2
+    path = tmp_path / "places.csv"
+    path.write_text("page_id,region_id,categories\np1,r1,park\np1,r1,park\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: duplicate page_id 'p1'")):
+        load_places_csv(str(path))
+
+
 def test_external_counts_csv_rejects_repeated_region_and_category(tmp_path):
     path = tmp_path / "external.csv"
     path.write_text("region_id,category,count\nr1,park,3\nr2,park,4\nr1,bar,1\nr1,park,5\n")
