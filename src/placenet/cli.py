@@ -300,10 +300,8 @@ def _cmd_represent(args, out_dir: Path):
         raise ValueError(
             f"{args.importance}: feature names do not match {args.features.name}"
         )
-    (out_dir / "representatives").mkdir(exist_ok=True)
-
     rows = []
-    written = ["representatives.csv"]
+    copies: dict[str, tuple[str, str]] = {}  # path -> (category, graph id)
     for category in ensemble.category_names():
         rep_id, dist = representative_distances(
             ensemble,
@@ -314,15 +312,34 @@ def _cmd_represent(args, out_dir: Path):
         )[0]
         rows.append([category, rep_id, repr(dist)])
         rel = f"representatives/{_safe_name(category)}__{_safe_name(rep_id)}.edges"
+        if rel in copies:
+            raise ValueError(f"categories {copies[rel][0]!r} and {category!r} would both "
+                             f"write their representative to {rel}")
+        copies[rel] = (category, rep_id)
+    (out_dir / "representatives").mkdir(exist_ok=True)
+    for rel, (_, rep_id) in copies.items():
         src = args.manifest.parent / path_of[rep_id]
         (out_dir / rel).write_bytes(src.read_bytes())
-        written.append(rel)
     write_csv(out_dir / "representatives.csv", ["category", "graph_id", "distance"], rows)
-    return written, {}
+    return ["representatives.csv", *copies], {}
 
 
 def _cmd_embed(args, out_dir: Path):
     records = load_corpus_jsonl(str(args.corpus))
+    seeds_map: dict[str, str] = {}
+    allow: set[str] | None = None
+    if args.seeds:
+        try:
+            seeds_map = json.loads(read_text(args.seeds))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.seeds}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        if not isinstance(seeds_map, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
+        ):
+            raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
+        if args.allowlist:
+            lines = (line.strip() for line in read_text(args.allowlist).splitlines())
+            allow = {line for line in lines if line and not line.startswith("#")}
     model = train_skipgram(
         records,
         dim=args.dim,
@@ -340,18 +357,6 @@ def _cmd_embed(args, out_dir: Path):
     if not args.seeds:
         return written, {}
 
-    try:
-        seeds_map = json.loads(read_text(args.seeds))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.seeds}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if not isinstance(seeds_map, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
-    ):
-        raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
-    allow: set[str] | None = None
-    if args.allowlist:
-        lines = (line.strip() for line in read_text(args.allowlist).splitlines())
-        allow = {line for line in lines if line and not line.startswith("#")}
     rows = []
     for place_type in sorted(seeds_map):
         seed_label = seeds_map[place_type]
@@ -372,16 +377,16 @@ def _cmd_embed(args, out_dir: Path):
 def _cmd_prevalence(args, out_dir: Path):
     records = load_places_csv(str(args.places))
     regions = load_regions_csv(str(args.regions))
+    external = load_external_counts_csv(str(args.external)) if args.external else None
     counts = fractional_counts(records)
     table = per_capita(counts, regions)
     write_prevalence_csv(str(out_dir / "prevalence.csv"), table)
     medians = {key: bin_medians(table, regions, key) for key in BIN_KEYS}
     write_bin_medians_csv(str(out_dir / "bin_medians.csv"), medians)
     written = ["prevalence.csv", "bin_medians.csv"]
-    if not args.external:
+    if external is None:
         return written, {}
 
-    external = load_external_counts_csv(str(args.external))
     # Zero-count regions stay in the map so the log transform drops
     # them visibly (reported in n_dropped) instead of silently.
     by_category: dict[str, dict[str, float]] = {}

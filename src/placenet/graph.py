@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain
 from typing import Iterable
@@ -31,7 +32,7 @@ class Graph:
     computations.
     """
 
-    __slots__ = ("_nodes", "_index", "indptr", "indices", "_lcc")
+    __slots__ = ("_nodes", "indptr", "indices", "_lcc")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()):
         us: list[str] = []
@@ -50,13 +51,12 @@ class Graph:
         lists = [sorted(row) for row in adj]
         indptr = np.fromiter(accumulate(map(len, lists), initial=0), np.int32, n + 1)
         indices = np.fromiter(chain.from_iterable(lists), np.int32, int(indptr[-1]))
-        self._set(ids, index, indptr, indices)
+        self._set(ids, indptr, indices)
 
-    def _set(self, ids: tuple[str, ...], index: dict[str, int],
-             indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+    def _set(self, ids: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         indptr.flags.writeable = False
         indices.flags.writeable = False
-        self._nodes, self._index, self.indptr, self.indices = ids, index, indptr, indices
+        self._nodes, self.indptr, self.indices = ids, indptr, indices
         self._lcc = None
         return self
 
@@ -69,27 +69,6 @@ class Graph:
     def nodes(self) -> tuple[str, ...]:
         """All node ids in sorted order."""
         return self._nodes
-
-    def neighbors(self, u: str) -> frozenset[str]:
-        """Neighbor ids of *u*, as a new frozenset."""
-        i = self._index[u]
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
-        return frozenset(map(self._nodes.__getitem__, row))
-
-    def degree(self, u: str) -> int:
-        i = self._index[u]
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def has_node(self, u: str) -> bool:
-        return u in self._index
-
-    def has_edge(self, u: str, v: str) -> bool:
-        i, j = self._index.get(u), self._index.get(v)
-        if i is None or j is None:
-            return False
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        k = int(np.searchsorted(row, j))
-        return k < len(row) and row[k] == j
 
     def edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Node indices ``(u, v)`` of every edge, u < v, in ``edges()`` order."""
@@ -106,9 +85,8 @@ class Graph:
 
     def subgraph(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on ``keep`` (unknown ids are ignored)."""
-        mask = np.zeros(len(self._nodes), dtype=bool)
-        mask[[self._index[u] for u in keep if u in self._index]] = True
-        return self._induced(mask)
+        keep = set(keep)
+        return self._induced(np.array([u in keep for u in self._nodes], dtype=bool))
 
     def _induced(self, mask: np.ndarray) -> "Graph":
         """Induced subgraph on the nodes where ``mask`` is true."""
@@ -119,9 +97,7 @@ class Graph:
         np.cumsum(np.bincount(rows[kept], minlength=n)[mask], out=indptr[1:])
         relabel = (np.cumsum(mask) - 1).astype(np.int32)
         ids = tuple(u for u, keep in zip(self._nodes, mask.tolist()) if keep)
-        return Graph.__new__(Graph)._set(
-            ids, dict(zip(ids, range(len(ids)))), indptr, relabel[self.indices[kept]]
-        )
+        return Graph.__new__(Graph)._set(ids, indptr, relabel[self.indices[kept]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -242,15 +218,18 @@ def bfs_distances(g: Graph, source: str) -> dict[str, int]:
     Raises:
         KeyError: if *source* is not a node of the graph.
     """
-    if not g.has_node(source):
+    names = g.nodes()
+    start = bisect_left(names, source)
+    if start == len(names) or names[start] != source:
         raise KeyError(source)
-    dist = {source: 0}
-    queue = deque([source])
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        for v in g.neighbors(u):
+        du = dist[u] + 1
+        for v in indices[indptr[u]:indptr[u + 1]]:
             if v not in dist:
-                dist[v] = du + 1
+                dist[v] = du
                 queue.append(v)
-    return dist
+    return {names[i]: d for i, d in dist.items()}

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from placenet.features import feature_names
 from placenet.forest import ForestParams, average_ranks, cross_validated_auc, mean_importance
 from placenet.seeding import derive_seed
 from placenet.tables import number, read_csv, unique, write_csv
@@ -110,17 +109,9 @@ def auc_matrix(
     return AucMatrix(tuple(cats), values), importance
 
 
-def _default_names(dim: int) -> list[str]:
-    """The canonical 18 feature names, or ``feature_<i>`` for any other dimension."""
-    return feature_names() if dim == 18 else [f"feature_{i}" for i in range(dim)]
-
-
-def global_importance_ranking(
-    importance, names: list[str] | None = None
-) -> list[tuple[str, int]]:
+def global_importance_ranking(importance, names: list[str]) -> list[tuple[str, int]]:
     """Features by descending importance; ties keep canonical feature order."""
     imp = np.asarray(importance, dtype=float)
-    names = _default_names(len(imp)) if names is None else names
     if len(names) != len(imp):
         raise ValueError("importance and names must align")
     order = sorted(range(len(imp)), key=lambda f: (-imp[f], f))
@@ -193,13 +184,12 @@ def write_auc_matrix_csv(matrix: AucMatrix, path: str) -> None:
     ))
 
 
-def write_importance_csv(path: str, importance, names: list[str] | None = None) -> None:
+def write_importance_csv(path: str, importance, names: list[str]) -> None:
     """Rows in canonical feature order: feature, importance, rank."""
     imp = np.asarray(importance, dtype=float)
-    canonical = _default_names(len(imp)) if names is None else list(names)
-    rank_of = dict(global_importance_ranking(imp, canonical))
+    rank_of = dict(global_importance_ranking(imp, names))
     write_csv(path, ["feature", "importance", "rank"], (
-        [name, repr(float(value)), rank_of[name]] for name, value in zip(canonical, imp)
+        [name, repr(float(value)), rank_of[name]] for name, value in zip(names, imp)
     ))
 
 

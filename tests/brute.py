@@ -16,7 +16,16 @@ import numpy as np
 
 
 def adjacency_sets(g) -> dict[str, set[str]]:
-    return {u: set(g.neighbors(u)) for u in g.nodes()}
+    """Each node id's neighbour ids, from ``g.nodes()`` and ``g.edges()``."""
+    adj: dict[str, set[str]] = {u: set() for u in g.nodes()}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def degrees(g) -> dict[str, int]:
+    return {u: len(nbrs) for u, nbrs in adjacency_sets(g).items()}
 
 
 def component_count(nodes, edges) -> int:
@@ -46,11 +55,10 @@ def components_lists(g) -> list[list[str]]:
             x = parent[x]
         return x
 
-    for u in nodes:
-        for v in g.neighbors(u):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
     groups: dict[str, list[str]] = {}
     for u in nodes:
         groups.setdefault(find(u), []).append(u)
@@ -67,7 +75,7 @@ def largest_component_nodes(g) -> list[str]:
 def degree_stats(g) -> dict[str, float]:
     n = g.node_count()
     m = g.edge_count()
-    degs = np.array([g.degree(u) for u in g.nodes()], dtype=float)
+    degs = np.array(list(degrees(g).values()), dtype=float)
     out = {"n_nodes": float(n), "n_edges": float(m)}
     out["density"] = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
     out["avg_degree"] = 2.0 * m / n if n else 0.0
@@ -85,14 +93,15 @@ def clustering_by_enumeration(g) -> float:
     n = len(nodes)
     if n == 0:
         return 0.0
+    adj = adjacency_sets(g)
     total = 0.0
     for u in nodes:
-        d = g.degree(u)
+        d = len(adj[u])
         if d < 2:
             continue
         tri = 0
-        for v, w in combinations(sorted(g.neighbors(u)), 2):
-            if g.has_edge(v, w):
+        for v, w in combinations(sorted(adj[u]), 2):
+            if w in adj[v]:
                 tri += 1
         total += tri / (d * (d - 1) / 2)
     return total / n
@@ -102,10 +111,11 @@ def assortativity_corrcoef(g) -> float:
     m = g.edge_count()
     if m == 0:
         return 0.0
+    deg = degrees(g)
     xs, ys = [], []
     for u, v in g.edges():
-        xs += [g.degree(u), g.degree(v)]
-        ys += [g.degree(v), g.degree(u)]
+        xs += [deg[u], deg[v]]
+        ys += [deg[v], deg[u]]
     x = np.array(xs, dtype=float)
     y = np.array(ys, dtype=float)
     if np.all(x == x[0]) or np.all(y == y[0]):
@@ -119,10 +129,11 @@ def assortativity_exact(g) -> float:
     Both orientations of every edge give x and y the same values, so their
     variances are equal and r = cov(x, y) / var(x).
     """
+    deg = degrees(g)
     xs, ys = [], []
     for u, v in g.edges():
-        xs += [g.degree(u), g.degree(v)]
-        ys += [g.degree(v), g.degree(u)]
+        xs += [deg[u], deg[v]]
+        ys += [deg[v], deg[u]]
     n, sx = len(xs), sum(xs)
     var = n * sum(x * x for x in xs) - sx * sx
     if var == 0:
@@ -136,10 +147,11 @@ def apl_floyd_warshall(g) -> float:
     if n < 2:
         return 0.0
     idx = {u: i for i, u in enumerate(nodes)}
+    adj = adjacency_sets(g)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     for u in nodes:
-        for v in g.neighbors(u):
+        for v in adj[u]:
             if v in idx:
                 dist[idx[u], idx[v]] = 1.0
     for k in range(n):
@@ -159,9 +171,10 @@ def lambda2_dense(g, scope: str = "lcc") -> float:
     if n < 2:
         return 0.0
     idx = {u: i for i, u in enumerate(nodes)}
+    adj = adjacency_sets(g)
     lap = np.zeros((n, n))
     for u in nodes:
-        for v in g.neighbors(u):
+        for v in adj[u]:
             if v in idx:
                 lap[idx[u], idx[v]] = -1.0
                 lap[idx[u], idx[u]] += 1.0
@@ -209,11 +222,12 @@ def modularity_of(g, assignment: dict[str, int]) -> float:
     if m == 0:
         return 0.0
     comms = set(assignment.values())
+    degree = degrees(g)
     q = 0.0
     for c in comms:
         members = {u for u, cc in assignment.items() if cc == c}
         intra = sum(1 for u, v in g.edges() if u in members and v in members)
-        deg = sum(g.degree(u) for u in members)
+        deg = sum(degree[u] for u in members)
         q += intra / m - (deg / (2.0 * m)) ** 2
     return q
 
@@ -298,8 +312,8 @@ def modularity_exact(g, assignment: dict[str, int]) -> Fraction:
     for u, v in g.edges():
         if assignment[u] == assignment[v]:
             intra[assignment[u]] = intra.get(assignment[u], 0) + 1
-    for u in g.nodes():
-        deg[assignment[u]] = deg.get(assignment[u], 0) + g.degree(u)
+    for u, d in degrees(g).items():
+        deg[assignment[u]] = deg.get(assignment[u], 0) + d
     return sum((Fraction(intra.get(c, 0), m) - Fraction(d, 2 * m) ** 2
                 for c, d in deg.items()), Fraction(0))
 
@@ -326,7 +340,8 @@ def best_modularity_exhaustive(g) -> float:
     m = g.edge_count()
     assert m >= 1
     idx = {u: i for i, u in enumerate(nodes)}
-    deg = np.array([g.degree(u) for u in nodes], dtype=float)
+    degree = degrees(g)
+    deg = np.array([degree[u] for u in nodes], dtype=float)
     adj = np.zeros((n, n))
     for u, v in g.edges():
         adj[idx[u], idx[v]] = adj[idx[v], idx[u]] = 1.0

@@ -553,6 +553,30 @@ def test_represent_tie_names_smallest_id_and_copies_its_graph(tmp_path):
     assert sorted(p.name for p in copy.parent.iterdir()) == ["c__g1.edges"]
 
 
+@pytest.mark.parametrize("picks, rel", [
+    ([("a", "b__c"), ("a__b", "c")], "a__b__c.edges"),
+    ([("x y", "g+1"), ("x_y", "g=1")], "x_y__g_1.edges"),
+], ids=["separator", "replaced characters"])
+def test_represent_copies_with_one_path_are_data_error(tmp_path, capsys, picks, rel):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"id": gid, "path": "g.edges", "category": cat}) + "\n"
+        for cat, gid in picks))
+    (tmp_path / "g.edges").write_text("a b\n")
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,f0\n" + "".join(f"{gid},1.0\n" for _, gid in picks))
+    importance = tmp_path / "importance.csv"
+    importance.write_text("feature,importance,rank\nf0,1.0,1\n")
+    out = tmp_path / "rep"
+    assert main(["represent", "--features", str(features), "--manifest", str(manifest),
+                 "--importance", str(importance), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    (first, _), (second, _) = picks
+    assert f"categories {first!r} and {second!r}" in err, err
+    assert f"representatives/{rel}" in err, err
+    assert list(out.iterdir()) == []
+
+
 def test_undersized_similarity_category_is_data_error(tmp_path, capsys):
     run_pipeline(tmp_path)
     assert main(["similarity", "--features", str(tmp_path / "feat" / "features.csv"),
@@ -623,6 +647,25 @@ def test_invalid_seeds_json_names_file_line_and_column(tmp_path, capsys):
     assert main(["embed", "--corpus", str(corpus), "--out-dir", str(tmp_path / "emb"),
                  "--dim", "4", "--epochs", "1", "--seeds", str(seeds)]) == 2
     assert "seeds.json: line 2 column 1: Expecting property name" in capsys.readouterr().err
+
+
+def test_bad_seeds_file_stops_embed_before_any_output(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('{"restaurants": "CA')  # truncated
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--dim", "4", "--epochs", "1", "--seeds", str(seeds)]) == 2
+    assert "seeds.json: line 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_bad_external_table_stops_prevalence_before_any_output(tmp_path, capsys):
+    assert run_in(tmp_path, PREVALENCE,
+                  **{"external.csv": "region_id,category,count\nr1,cafe,nan\n"}) == 2
+    assert "external.csv: line 2:" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_uniform_importance_keeps_canonical_order():
-    ranking = global_importance_ranking(np.full(18, 1.0 / 18.0))
+    ranking = global_importance_ranking(np.full(18, 1.0 / 18.0), feature_names())
     assert [name for name, _ in ranking] == feature_names()
     assert [rank for _, rank in ranking] == list(range(1, 19))
 
@@ -176,7 +176,7 @@ def test_uniform_importance_keeps_canonical_order():
 def test_dominant_feature_ranks_first():
     imp = np.full(18, 0.1 / 17.0)
     imp[6] = 0.9
-    ranking = global_importance_ranking(imp)
+    ranking = global_importance_ranking(imp, feature_names())
     assert ranking[0] == (feature_names()[6], 1)
 
 
