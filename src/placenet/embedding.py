@@ -62,6 +62,45 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+# Pairs per synchronous update. Every pair of a block scores against the
+# weights as they stood at the block's start.
+_BLOCK = 64
+
+
+def _train_epoch(w_in, w_out, centers, targets, rates) -> np.ndarray:
+    """Apply one epoch's updates in place, block by block.
+
+    A block's gradients are summed over the rows it touches, duplicates
+    included: the coefficient of (output row t, input row c) gathers every
+    ``rate * (sigmoid(score) - label)`` of the block with that target and
+    center. A block's cost therefore depends on its own rows, not on the
+    vocabulary. The products run through ``np.einsum``, which never calls
+    BLAS, so the bytes do not depend on the BLAS thread count. Returns each
+    pair's scores at its block-start weights.
+    """
+    scores = np.empty(targets.shape)
+    for lo in range(0, len(centers), _BLOCK):
+        hi = lo + _BLOCK
+        block_targets = targets[lo:hi]
+        rows_in, col = np.unique(centers[lo:hi], return_inverse=True)
+        rows_out, row = np.unique(block_targets.ravel(), return_inverse=True)
+        vec_in = w_in[rows_in]
+        vec_out = w_out[rows_out]
+        s = np.einsum("bkd,bd->bk", w_out[block_targets], vec_in[col])
+        scores[lo:hi] = s
+        grad = _sigmoid(s)
+        grad[:, 0] -= 1.0
+        grad *= rates[lo:hi, None]
+        coef = np.bincount(
+            row * len(rows_in) + np.repeat(col, s.shape[1]),
+            weights=grad.ravel(),
+            minlength=len(rows_out) * len(rows_in),
+        ).reshape(len(rows_out), len(rows_in))
+        w_in[rows_in] = vec_in - np.einsum("tc,td->cd", coef, vec_out)
+        w_out[rows_out] = vec_out - np.einsum("tc,cd->td", coef, vec_in)
+    return scores
+
+
 def train_skipgram(
     records,
     *,
@@ -76,14 +115,25 @@ def train_skipgram(
 
     Every ordered pair of distinct labels within a record is one training
     example; negatives are drawn from the unigram^(3/4) distribution. The
-    learning rate decays linearly over all updates (floor 1e-4 of the
-    start value). Training is single-threaded and deterministic given the
-    seed. The model records the mean negative-sampling loss per epoch.
+    learning rate decays linearly over all pairs (floor 1e-4 of the start
+    value). Updates are block-synchronous: each block of 64 consecutive
+    pairs scores against the weights as they stood at the block's start,
+    each pair keeps its own rate, and the block's gradients are summed into
+    the rows it touches. Training is deterministic given the seed, and its
+    bytes do not depend on the BLAS thread count. The model records, per
+    epoch, the mean negative-sampling loss of the pairs at their
+    block-start weights.
 
     Raises:
-        ValueError: if learning_rate is not finite and positive, the corpus
-            is empty or min_count filtering leaves no vocabulary.
+        ValueError: naming the parameter if dim or epochs is below 1,
+            negatives or min_count is below 0, or learning_rate is not
+            finite and positive; or if the corpus is empty or min_count
+            filtering leaves no vocabulary.
     """
+    for name, value, low in (("dim", dim, 1), ("epochs", epochs, 1),
+                             ("negatives", negatives, 0), ("min_count", min_count, 0)):
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if not (np.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     records = [tuple(sorted(set(r))) for r in records]
@@ -109,9 +159,15 @@ def train_skipgram(
     w_in = (rng.random((v_size, dim)) - 0.5) / dim
     w_out = np.zeros((v_size, dim))
 
-    kept = [tuple(index[l] for l in rec if l in index) for rec in records]
-    record_pairs = [[(c, o) for c in rec for o in rec if o != c] for rec in kept]
-    pairs_per_epoch = sum(map(len, record_pairs))
+    # Every record's ordered pairs, record after record: record r's
+    # n_pairs[r] pairs start at row first[r].
+    kept = [[index[l] for l in rec if l in index] for rec in records]
+    n_pairs = np.array([len(rec) * (len(rec) - 1) for rec in kept], dtype=np.intp)
+    first = np.cumsum(n_pairs) - n_pairs
+    all_pairs = np.array(
+        [(c, o) for rec in kept for c in rec for o in rec if o != c], dtype=np.intp
+    ).reshape(-1, 2)
+    pairs_per_epoch = len(all_pairs)
     total_steps = max(1, pairs_per_epoch * epochs)
 
     epoch_losses: list[float] = []
@@ -121,26 +177,19 @@ def train_skipgram(
         if not pairs_per_epoch:
             epoch_losses.append(0.0)
             continue
-        pairs = np.array([p for ri in order for p in record_pairs[ri]], dtype=np.intp)
+        sizes = n_pairs[order]
+        shift = first[order] - (np.cumsum(sizes) - sizes)
+        pairs = all_pairs[np.repeat(shift, sizes) + np.arange(pairs_per_epoch)]
         negs = rng.choice(v_size, size=(pairs_per_epoch, negatives), p=noise)
         targets = np.column_stack((pairs[:, 1], negs))
         rates = learning_rate * np.maximum(
             1e-4, 1.0 - np.arange(step, step + pairs_per_epoch) / total_steps
         )
         step += pairs_per_epoch
-        loss = 0.0
-        for center, row, lr in zip(pairs[:, 0].tolist(), targets, rates.tolist()):
-            vec = w_in[center]
-            out = w_out[row]
-            scores = out @ vec
-            # -log sigma(s_pos) - sum log sigma(-s_neg), numerically stable
-            loss += float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-            grad = _sigmoid(scores)
-            grad[0] -= 1.0
-            grad *= lr
-            w_in[center] = vec - grad @ out
-            np.add.at(w_out, row, -np.outer(grad, vec))
-        epoch_losses.append(loss / pairs_per_epoch)
+        scores = _train_epoch(w_in, w_out, pairs[:, 0], targets, rates)
+        # -log sigma(s_pos) - sum log sigma(-s_neg), numerically stable
+        loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:]).sum()
+        epoch_losses.append(float(loss) / pairs_per_epoch)
 
     return EmbeddingModel(labels=vocab, vectors=w_in, epoch_losses=epoch_losses)
 

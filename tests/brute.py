@@ -540,3 +540,60 @@ def forest_reference(X, y, params, derive_rng) -> tuple[list[tuple], np.ndarray]
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else np.full(d, 1.0 / d)
     return trees, importances
+
+
+def sgns_block_reference(records, rng, *, dim, epochs, negatives, learning_rate,
+                         min_count, block) -> tuple[list[str], np.ndarray, list[float]]:
+    """Skip-gram with negative sampling, one pair at a time, under the block rule.
+
+    Re-derives the trainer's schedule from ``rng`` (vocabulary by falling
+    count then label, unigram^(3/4) negatives, records permuted per epoch,
+    rates decaying linearly over all pairs). Within each block of ``block``
+    consecutive pairs every pair reads the weights as they stood at the
+    block's start, and each pair's gradient is added to the live weights.
+    At ``block = 1`` this is plain sequential SGD. Returns the vocabulary,
+    the input vectors and the per-epoch mean loss at block-start weights.
+    """
+    records = [sorted(set(r)) for r in records]
+    counts: dict[str, int] = {}
+    for rec in records:
+        for label in rec:
+            counts[label] = counts.get(label, 0) + 1
+    vocab = sorted((l for l in counts if counts[l] >= min_count), key=lambda l: (-counts[l], l))
+    index = {label: i for i, label in enumerate(vocab)}
+    noise = np.array([counts[l] for l in vocab], dtype=float) ** 0.75
+    noise /= noise.sum()
+    w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
+    w_out = np.zeros((len(vocab), dim))
+    kept = [[index[l] for l in rec if l in index] for rec in records]
+    per_epoch = sum(len(rec) * (len(rec) - 1) for rec in kept)
+    total = max(1, per_epoch * epochs)
+
+    losses = []
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(kept))
+        if not per_epoch:
+            losses.append(0.0)
+            continue
+        pairs = [(c, o) for ri in order for c in kept[ri] for o in kept[ri] if o != c]
+        negs = rng.choice(len(vocab), size=(per_epoch, negatives), p=noise)
+        loss = 0.0
+        for i, (center, context) in enumerate(pairs):
+            if i % block == 0:
+                start_in, start_out = w_in.copy(), w_out.copy()
+            rate = learning_rate * max(1e-4, 1.0 - (step + i) / total)
+            rows = [context, *negs[i].tolist()]
+            vec = start_in[center]
+            grads = []
+            for j, r in enumerate(rows):
+                score = float(start_out[r] @ vec)
+                label = 1.0 if j == 0 else 0.0
+                loss += math.log1p(math.exp(-score)) if label else math.log1p(math.exp(score))
+                grads.append(rate * (1.0 / (1.0 + math.exp(-score)) - label))
+            for g, r in zip(grads, rows):
+                w_in[center] -= g * start_out[r]
+                w_out[r] -= g * vec
+        step += per_epoch
+        losses.append(loss / per_epoch)
+    return vocab, w_in, losses

@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -314,18 +317,21 @@ EMBED_PIN_CORPUS = (
 )
 
 # SHA-256 of the embed outputs on EMBED_PIN_CORPUS, recorded with the
-# trainer that rebuilt each update's targets and learning rate inside its
-# inner loop. RARE occurs once, so --min-count 2 drops it.
+# block-synchronous trainer. The bytes moved from those of the per-pair
+# trainer because a block's pairs now score against the weights at the
+# block's start and their gradients are summed. EMBED_PIN_CORPUS has 62
+# pairs, so each epoch is one block. RARE occurs once, so --min-count 2
+# drops it.
 EMBED_PINNED_DIGESTS = {
     (): {
-        "model.tsv": "621ca9b0a4b66edbe7a9a453dd1b2a3edd45c7254203df9402e42717ce31e8f1",
-        "losses.csv": "02efca7c3889df9c60295c8b93747f26fa57643d8a9fc9aeaedccf3a6db2c074",
-        "neighbors.csv": "aa1468f279f070043127b1227b4809851196c200857b8d529c527272911f5485",
+        "model.tsv": "62a5b5ef18b9236b04b211602d0356cf1e8cdc1f35b6502b2fd09c1ab985a657",
+        "losses.csv": "deaf371a75e9c3b79fe92490e3809568e0980ffdc467e67ecfeb18789d615c12",
+        "neighbors.csv": "ed663941a6831288cfaab82a18314f43d6ba91b5117e22d089fdfe4032266dff",
     },
     ("--negatives", "0", "--min-count", "2"): {
-        "model.tsv": "8c8d03fb4fbe6255aa10ed6e22af199c724d4a792920c7e31c1011cbfd5e032a",
-        "losses.csv": "6ca98552b460ecc8b34e35569424b9713460d8bef809735de5b469e93312bfac",
-        "neighbors.csv": "8839932b57e8141424bd987e4765042bf975d52698e18a03ae9f18f73b864696",
+        "model.tsv": "d99b7ca441f4de0082f14556c2816221f92f0f28941d4be206e8c04b4a388ed6",
+        "losses.csv": "f5b65ca72c19518f1414bedef8fee0f062ab4e23003b2dd7a0c16c591a944d34",
+        "neighbors.csv": "ed43ad9115ddce7e9b6201240cf5619b146f247b0a0c5a35b511cba50500b9b0",
     },
 }
 
@@ -344,6 +350,37 @@ def test_embed_bytes_are_pinned(tmp_path, flags):
         for name in ("model.tsv", "losses.csv", "neighbors.csv")
     }
     assert digests == EMBED_PINNED_DIGESTS[flags]
+
+
+def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # A block's gradient sums run through np.einsum, which never calls
+    # BLAS. The second run leaves the thread count to OpenBLAS, which uses
+    # every CPU. With 200 labels a block touches 31-44 input rows and
+    # 153-174 output rows, where a GEMM in place of einsum gave other
+    # bytes under 1 and 2 threads; 600 records make 38 blocks per epoch.
+    rng = random.Random(5)
+    labels = [f"L{i:03d}" for i in range(200)]
+    (tmp_path / "corpus.jsonl").write_text("".join(
+        json.dumps({"categories": rng.sample(labels, rng.choice((2, 3)))}) + "\n"
+        for _ in range(600)
+    ))
+    (tmp_path / "seeds.json").write_text(json.dumps({"t": "L000", "u": "L117"}))
+    src = os.path.dirname(os.path.dirname(placenet.features.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for dim in ("64", "300"):
+        outputs = []
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            out = tmp_path / f"out{dim}_{len(outputs)}"
+            subprocess.run([sys.executable, "-m", "placenet.cli", "embed",
+                            "--corpus", str(tmp_path / "corpus.jsonl"),
+                            "--seeds", str(tmp_path / "seeds.json"), "--dim", dim,
+                            "--epochs", "4", "--out-dir", str(out)],
+                           check=True, env={**env, **threads})
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.tsv", "losses.csv", "neighbors.csv")])
+        assert outputs[0] == outputs[1], f"--dim {dim}"
 
 
 def test_prevalence_command(tmp_path):

@@ -1,8 +1,14 @@
 """Skip-gram training, nearest-neighbor retrieval and corpus loading."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import brute
+import placenet.embedding
 from placenet.embedding import (
     EmbeddingModel,
     load_corpus_jsonl,
@@ -10,6 +16,13 @@ from placenet.embedding import (
     train_skipgram,
 )
 from placenet.seeding import derive_rng
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+)
+perfbench_inputs = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = perfbench_inputs  # dataclasses look their module up here
+_spec.loader.exec_module(perfbench_inputs)
 
 
 def planted_corpus(seed, n_records=400, planted_share=0.3):
@@ -71,6 +84,60 @@ def test_empty_vocabulary_error():
 def test_learning_rate_must_be_finite_and_positive(rate):
     with pytest.raises(ValueError, match="learning_rate"):
         train_skipgram([("a", "b")], epochs=1, learning_rate=rate)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dim", 0), ("dim", -3), ("epochs", 0), ("epochs", -2),
+    ("negatives", -1), ("min_count", -1),
+])
+def test_bad_parameter_is_named(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        train_skipgram([("a", "b")], **{name: value})
+
+
+# Two labels: every block of 3 or more pairs repeats a center, and with 5
+# negatives over 2 labels nearly every pair draws its positive as a
+# negative. The epochs of 14, 88 and 66 pairs end in a partial block of 3
+# or 64 pairs, and 10**6 is more than an epoch. Under min_count 3 only X
+# survives and no record keeps a pair.
+BLOCK_CASES = {
+    "two-labels": ([("X", "Y")] * 7, {}),
+    "mixed": ([("A", "B")] * 9 + [("A", "C", "D")] * 6 + [("B", "D")] * 5
+              + [("C", "E", "F")] * 4 + [("F",)], {}),
+    "no-negatives": ([("A", "B")] * 10 + [("A", "C", "D")] * 6 + [("B", "D")] * 5,
+                     {"negatives": 0}),
+    "no-pairs": ([("X", "Y"), ("X", "Z"), ("X",)], {"min_count": 3}),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 10**6], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_updates_match_per_pair_reference(monkeypatch, case, block):
+    records, overrides = BLOCK_CASES[case]
+    params = {"dim": 6, "epochs": 3, "negatives": 5, "learning_rate": 0.2,
+              "min_count": 1, **overrides}
+    monkeypatch.setattr(placenet.embedding, "_BLOCK", block)
+    model = train_skipgram(records, seed=4, **params)
+    labels, vectors, losses = brute.sgns_block_reference(
+        records, derive_rng(4, 0xE4B), block=block, **params
+    )
+    assert model.labels == labels
+    scale = np.abs(vectors).max()
+    assert np.abs(model.vectors - vectors).max() <= 1e-12 * scale
+    assert model.epoch_losses == pytest.approx(losses, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("workload", ["labels", "ensemble"])
+def test_benchmark_planted_partners_are_nearest(tmp_path, workload, seed):
+    # The benchmark's embed check fails unless the loss falls and every
+    # planted A has its B as nearest neighbour; train as its embed op does.
+    wl = perfbench_inputs.build(workload, seed, tmp_path)
+    records = load_corpus_jsonl(str(tmp_path / "corpus.jsonl"))
+    model = train_skipgram(records, epochs=wl.labels.epochs, learning_rate=0.1, seed=seed)
+    assert model.epoch_losses[-1] < model.epoch_losses[0]
+    for _, a, b in wl.planted:
+        assert nearest_categories(model, a, top_k=1)[0][0] == b, a
 
 
 def test_determinism():
