@@ -9,6 +9,7 @@ category for mapping, and medians are reported across demographic bins.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -20,8 +21,7 @@ from placenet.tables import number, read_csv, unique, write_csv
 BIN_KEYS = ("rucc", "income_decile", "education_decile", "foreign_born_decile")
 
 
-@dataclass(frozen=True)
-class PlaceRecord:
+class PlaceRecord(NamedTuple):
     page_id: str
     region_id: str
     categories: tuple[str, ...]
@@ -42,8 +42,7 @@ class RegionInfo:
             raise ValueError(f"RUCC code must be in 1..9, got {self.rucc}")
 
 
-@dataclass(frozen=True)
-class PrevalenceEntry:
+class PrevalenceEntry(NamedTuple):
     weighted_count: float
     per_1000: float
     decile: int
@@ -52,24 +51,31 @@ class PrevalenceEntry:
 def fractional_counts(
     records: list[PlaceRecord],
 ) -> dict[tuple[str, str], Fraction]:
-    """Weighted page counts per (region, category).
+    """Weighted page counts per (region, category), in first-seen order.
 
     A page with c categories adds 1/c to each of them, so its total
     contribution is exactly 1; counts are exact rationals so the overall
-    mass equals the number of records with no rounding.
+    mass equals the number of records with no rounding. The sums are
+    taken in integers: pages are tallied by region and category set, and
+    with L the lcm of every category count, n pages of c categories add
+    n * L/c to the numerator of each of their cells, whose count is that
+    numerator over L.
 
     Raises:
         ValueError: naming the page id, for a record without categories.
     """
-    counts: dict[tuple[str, str], Fraction] = {}
     for rec in records:
         if not rec.categories:
             raise ValueError(f"record {rec.page_id!r} rejected: empty category set")
-        share = Fraction(1, len(rec.categories))
-        for cat in rec.categories:
-            key = (rec.region_id, cat)
-            counts[key] = counts.get(key, Fraction(0)) + share
-    return counts
+    pages = Counter((rec.region_id, rec.categories) for rec in records)
+    lcm = math.lcm(*{len(cats) for _, cats in pages})
+    numerators: dict[tuple[str, str], int] = {}
+    for (region, cats), n in pages.items():
+        share = n * (lcm // len(cats))
+        for cat in cats:
+            key = (region, cat)
+            numerators[key] = numerators.get(key, 0) + share
+    return {key: Fraction(num, lcm) for key, num in numerators.items()}
 
 
 def decile_assign(values: Mapping[str, float]) -> dict[str, int]:
@@ -104,16 +110,18 @@ def per_capita(
         if region not in regions:
             raise KeyError(f"region {region!r} missing from region table")
     categories = sorted({cat for _, cat in counts})
+    populations = [(region, info.population) for region, info in regions.items()]
     table: dict[tuple[str, str], PrevalenceEntry] = {}
     for cat in categories:
-        masses = {region: Fraction(counts.get((region, cat), 0)) for region in regions}
-        rates = {region: float(1000 * mass / regions[region].population)
-                 for region, mass in masses.items()}
+        cells = [(region, population, *counts.get((region, cat), 0).as_integer_ratio())
+                 for region, population in populations]
+        # Int true division is correctly rounded, so each float equals
+        # float() of the exact Fraction, without building it.
+        rates = {region: 1000 * num / (den * population)
+                 for region, population, num, den in cells}
         deciles = decile_assign(rates)
-        for region, mass in masses.items():
-            table[(region, cat)] = PrevalenceEntry(
-                weighted_count=float(mass), per_1000=rates[region], decile=deciles[region]
-            )
+        for region, _, num, den in cells:
+            table[(region, cat)] = PrevalenceEntry(num / den, rates[region], deciles[region])
     return table
 
 
@@ -200,7 +208,7 @@ def load_places_csv(path: str) -> list[PlaceRecord]:
     seen: set[str] = set()
 
     def record(page_id: str, region_id: str, categories: str) -> PlaceRecord:
-        cats = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
+        cats = tuple(sorted(set(filter(None, map(str.strip, categories.split(";"))))))
         if not cats:
             raise ValueError(f"record {page_id!r} rejected: empty category set")
         return PlaceRecord(unique(seen, page_id, "page_id"), region_id, cats)
@@ -222,7 +230,10 @@ def load_regions_csv(path: str) -> dict[str, RegionInfo]:
         )
 
     columns = ["region_id", "population", "rucc", "income", "education", "foreign_born_share"]
-    return dict(read_csv(path, columns, region)[1])
+    rows = read_csv(path, columns, region)[1]
+    if not rows:
+        raise ValueError(f"{path}: the region table has no rows")
+    return dict(rows)
 
 
 def load_external_counts_csv(path: str) -> dict[str, dict[str, float]]:

@@ -422,6 +422,31 @@ def pearson(xs, ys) -> float:
     return float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
 
 
+def fractional_counts_reference(records) -> dict[tuple[str, str], Fraction]:
+    """Per (region, category): 1/c added once per page, c its category count."""
+    counts: dict[tuple[str, str], Fraction] = {}
+    for rec in records:
+        share = Fraction(1, len(rec.categories))
+        for cat in rec.categories:
+            key = (rec.region_id, cat)
+            counts[key] = counts.get(key, Fraction(0)) + share
+    return counts
+
+
+def per_capita_reference(counts, populations) -> dict[tuple[str, str], tuple]:
+    """(weighted count, per-1000 rate, decile) of every region for every
+    counted category: floats of the exact values, deciles ceil(10 i / n) of
+    the 1-based rank i by (rate, region id)."""
+    out = {}
+    for cat in sorted({cat for _, cat in counts}):
+        mass = {r: Fraction(counts.get((r, cat), 0)) for r in populations}
+        rate = {r: float(Fraction(1000) * mass[r] / pop) for r, pop in populations.items()}
+        ordered = sorted(populations, key=lambda r: (rate[r], r))
+        for i, r in enumerate(ordered, start=1):
+            out[(r, cat)] = (float(mass[r]), rate[r], math.ceil(Fraction(10 * i, len(ordered))))
+    return out
+
+
 def best_split_reference(Xn, yn, feats, min_leaf: int):
     """One node's best Gini-gain split, scored on its own sorted matrix.
 

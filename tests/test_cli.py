@@ -412,6 +412,66 @@ def test_prevalence_command(tmp_path):
     assert len(correlation) == 3
 
 
+PREVALENCE_PIN_CATEGORIES = ["arts", "bar", "cafe", "church", "gym", "library", "park",
+                             "school", "zoo"]
+
+
+def write_prevalence_pin_inputs(root):
+    """Pages with 1, 2, 3, 4, 5 and 7 categories, so the common denominator
+    lcm(1, 2, 3, 4, 5, 7) = 420 exceeds every category count; regions r10
+    and r11 have no pages; r03 has a population near 10**9."""
+    cats = PREVALENCE_PIN_CATEGORIES
+    (root / "places.csv").write_text("page_id,region_id,categories\n" + "".join(
+        f"p{i:03d},r{i * 7 % 10:02d},"
+        + ";".join(cats[(i + 2 * j) % 9] for j in range((1, 2, 3, 4, 5, 7)[i % 6])) + "\n"
+        for i in range(150)
+    ))
+    (root / "regions.csv").write_text(
+        "region_id,population,rucc,income,education,foreign_born_share\n" + "".join(
+            f"r{r:02d},{987_654_321 if r == 3 else 1_000 + 7_919 * r * r},{r % 9 + 1},"
+            f"{30_000 + 4_001 * (r * 5 % 12)},{0.1 + 0.05 * (r * 7 % 12):.2f},"
+            f"{0.01 * (r * 11 % 12):.2f}\n"
+            for r in range(12)
+        ))
+    (root / "external.csv").write_text("region_id,category,count\n" + "".join(
+        f"r{r:02d},{cat},{(r * 13 + c * 5) % 17}\n"
+        for r in range(12) for c, cat in enumerate(cats[:5])
+    ))
+
+
+# SHA-256 of the prevalence outputs on the inputs above, recorded before
+# fractional_counts and per_capita moved from per-record Fraction sums to
+# one Fraction per cell and integer true division.
+PREVALENCE_PINNED_DIGESTS = {
+    (): {
+        "bin_medians.csv": "bf8e6512872c6c2bf1ab82bff1723f5a884a93967df11f90fcacc53d3fa4cef1",
+        "prevalence.csv": "e45d125251c2cc8a39261bcad7dba935501d3b8532f853d6d20106d24003b4fb",
+        "run_metadata.json": "e732a9cbda06030490e0fd240cae1e9902b155caacd7e9015f63b2b0f0d5bcb2",
+    },
+    ("--external", "external.csv"): {
+        "bin_medians.csv": "bf8e6512872c6c2bf1ab82bff1723f5a884a93967df11f90fcacc53d3fa4cef1",
+        "correlation.csv": "291144fd31f22b0a11a7ddccba9ad0b3e963674ad32024617287a3b15aa7fa65",
+        "prevalence.csv": "e45d125251c2cc8a39261bcad7dba935501d3b8532f853d6d20106d24003b4fb",
+        "run_metadata.json": "e515fb36853fae0446108f51f9e6384bdef01e120a57b07e4105fd842f0aa81d",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(PREVALENCE_PINNED_DIGESTS),
+                         ids=["no-external", "external"])
+def test_prevalence_bytes_are_pinned(tmp_path, flags):
+    write_prevalence_pin_inputs(tmp_path)
+    out = tmp_path / "prev"
+    assert main(["prevalence", "--places", str(tmp_path / "places.csv"),
+                 "--regions", str(tmp_path / "regions.csv"),
+                 *[str(tmp_path / f) if f.endswith(".csv") else f for f in flags],
+                 "--out-dir", str(out)]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+    assert digests == PREVALENCE_PINNED_DIGESTS[flags]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -702,6 +762,27 @@ def test_bad_external_table_stops_prevalence_before_any_output(tmp_path, capsys)
     assert run_in(tmp_path, PREVALENCE,
                   **{"external.csv": "region_id,category,count\nr1,cafe,nan\n"}) == 2
     assert "external.csv: line 2:" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_place_in_unlisted_region_names_places_file_page_and_region(tmp_path, capsys):
+    places = "page_id,region_id,categories\np1,r1,cafe\np2,R9,bar\np3,R8,cafe\np4,R9,bar\n"
+    assert run_in(tmp_path, PREVALENCE, **{"places.csv": places}) == 2
+    err = capsys.readouterr().err
+    assert (f"data error: {tmp_path / 'places.csv'}: page 'p2' has region 'R9', "
+            f"which {tmp_path / 'regions.csv'} does not list") in err, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_region_table_without_rows_stops_prevalence_before_any_output(tmp_path, capsys):
+    # with no places either, the first failure used to come after
+    # prevalence.csv was written
+    assert run_in(tmp_path, PREVALENCE, **{
+        "places.csv": "page_id,region_id,categories\n",
+        "regions.csv": "region_id,population,rucc,income,education,foreign_born_share\n\n",
+    }) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'regions.csv'}: the region table has no rows" in err, err
     assert list((tmp_path / "out").iterdir()) == []
 
 

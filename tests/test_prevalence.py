@@ -1,6 +1,7 @@
 """Fractional counting, rates, deciles, bin medians and log correlation."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -62,6 +63,26 @@ def test_empty_category_set_rejected_with_id():
         fractional_counts([PlaceRecord("p99", "r", ())])
 
 
+def random_records(seed, n_pages, n_regions, max_categories=12):
+    rng = random.Random(seed)
+    cats = [f"c{j:02d}" for j in range(15)]
+    return [PlaceRecord(f"p{i}", f"r{rng.randrange(n_regions):03d}",
+                        tuple(sorted(rng.sample(cats, rng.randint(1, max_categories)))))
+            for i in range(n_pages)]
+
+
+@pytest.mark.parametrize("seed, n_pages, n_regions, max_categories", [
+    (1, 3000, 80, 12), (2, 500, 200, 12), (3, 40, 3, 7), (4, 1, 1, 1),
+])
+def test_counts_match_per_record_fraction_sums(seed, n_pages, n_regions, max_categories):
+    records = random_records(seed, n_pages, n_regions, max_categories)
+    counts = fractional_counts(records)
+    reference = brute.fractional_counts_reference(records)
+    assert counts == reference
+    assert list(counts) == list(reference)  # first-seen order
+    assert all(type(v) is Fraction for v in counts.values())
+
+
 # ---------------------------------------------------------------------------
 # per-capita table
 
@@ -93,6 +114,34 @@ def test_per_capita_missing_region_error_names_it():
     counts = fractional_counts([PlaceRecord("p", "ghost", ("bar",))])
     with pytest.raises(KeyError, match="ghost"):
         per_capita(counts, {"r": region()})
+
+
+def random_populations(seed, n_regions):
+    rng = random.Random(seed)
+    return {f"r{i:03d}": rng.choice([1, 7, 1000, 10**6 + rng.randrange(1000),
+                                     999_999_937, 10**9 + rng.randrange(10**6)])
+            for i in range(n_regions)}
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float", "mixed"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_per_capita_matches_exact_reference(seed, kind):
+    # 150 regions for pages in 120 of them, so some regions have no pages
+    counts = fractional_counts(random_records(seed, 2000, 120))
+    rng = random.Random(seed)
+    if kind == "float":
+        counts = {key: float(mass) for key, mass in counts.items()}
+    elif kind == "mixed":
+        counts = {key: rng.choice([mass, float(mass), rng.uniform(0, 50), rng.randrange(9)])
+                  for key, mass in counts.items()}
+    populations = random_populations(seed, 150)
+    regions = {r: region(population=pop) for r, pop in populations.items()}
+    table = per_capita(counts, regions)
+    got = {key: (repr(e.weighted_count), repr(e.per_1000), e.decile)
+           for key, e in table.items()}
+    want = {key: (repr(count), repr(rate), decile) for key, (count, rate, decile)
+            in brute.per_capita_reference(counts, populations).items()}
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
