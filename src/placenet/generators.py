@@ -37,17 +37,32 @@ def _ids(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(n)]
 
 
-def _sample(left: list[str], right: list[str], pairs, p: float, rng) -> list[tuple[str, str]]:
-    """Keep each candidate ``(left[i], right[j])`` of the index arrays
-    ``pairs = (i, j)`` with probability p, one draw per candidate in order."""
-    i, j = pairs
-    hit = rng.random(len(i)) < p
-    return [(left[a], right[b]) for a, b in zip(i[hit].tolist(), j[hit].tolist())]
+# candidates per Generator.random call; chunked draws equal one draw bit for bit
+_CHUNK = 1 << 20
 
 
-def _across(n_a: int, n_b: int):
-    """Every index pair (i, j) of two blocks in row-major order."""
-    return np.indices((n_a, n_b)).reshape(2, -1)
+def _block_model(blocks: list[list[str]], pairs, rng) -> Graph:
+    """Stochastic block model over the id lists ``blocks``.
+
+    Each ``(a, b, p)`` in ``pairs`` keeps each candidate ``(i, j)`` of blocks
+    a and b with probability p, one draw per candidate in row-major order;
+    within a block (a == b), row i holds the columns i+1 .. n-1. Draws come
+    ``_CHUNK`` at a time and only the kept candidates are decoded, so
+    memory is O(chunk + n + m).
+    """
+    edges: list[tuple[str, str]] = []
+    for a, b, p in pairs:
+        left, right, within = blocks[a], blocks[b], a == b
+        lengths = np.arange(len(left) - 1, -1, -1) if within else np.full(len(left), len(right))
+        starts = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        for lo in range(0, total, _CHUNK):
+            hits = np.flatnonzero(rng.random(min(_CHUNK, total - lo)) < p) + lo
+            rows = np.searchsorted(starts, hits, side="right") - 1
+            cols = hits - starts[rows] + (rows + 1 if within else 0)
+            edges += zip(map(left.__getitem__, rows.tolist()),
+                         map(right.__getitem__, cols.tolist()))
+    return Graph(edges, nodes=[u for block in blocks for u in block])
 
 
 def gen_er(n: int, p: float, seed: int = 0) -> Graph:
@@ -55,8 +70,7 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
     n = _check_count("n", n)
     p = _check_prob("p", p)
     rng = derive_rng(seed, 0xE6)
-    ids = _ids("v", n)
-    return Graph(_sample(ids, ids, np.triu_indices(n, 1), p, rng), nodes=ids)
+    return _block_model([_ids("v", n)], [(0, 0, p)], rng)
 
 
 def gen_core_periphery(
@@ -79,12 +93,8 @@ def gen_core_periphery(
     p_cp = _check_prob("p_cp", p_cp)
     p_pp = _check_prob("p_pp", p_pp)
     rng = derive_rng(seed, 0xC0)
-    core = _ids("c", n_core)
-    peri = _ids("p", n_periphery)
-    edges = _sample(core, core, np.triu_indices(n_core, 1), p_cc, rng)
-    edges += _sample(core, peri, _across(n_core, n_periphery), p_cp, rng)
-    edges += _sample(peri, peri, np.triu_indices(n_periphery, 1), p_pp, rng)
-    return Graph(edges, nodes=core + peri)
+    blocks = [_ids("c", n_core), _ids("p", n_periphery)]
+    return _block_model(blocks, [(0, 0, p_cc), (0, 1, p_cp), (1, 1, p_pp)], rng)
 
 
 def gen_dyad_triad_scatter(
@@ -116,14 +126,9 @@ def gen_multi_core_community(
     p_out = _check_prob("p_out", p_out)
     rng = derive_rng(seed, 0x3C)
     blocks = [_ids(f"k{b}n", core_size) for b in range(n_cores)]
-    edges: list[tuple[str, str]] = []
-    for block in blocks:
-        edges += _sample(block, block, np.triu_indices(core_size, 1), p_in, rng)
-    for i in range(n_cores):
-        for j in range(i + 1, n_cores):
-            edges += _sample(blocks[i], blocks[j], _across(core_size, core_size), p_out, rng)
-    nodes = [u for block in blocks for u in block]
-    return Graph(edges, nodes=nodes)
+    pairs = [(b, b, p_in) for b in range(n_cores)]
+    pairs += [(i, j, p_out) for i in range(n_cores) for j in range(i + 1, n_cores)]
+    return _block_model(blocks, pairs, rng)
 
 
 _KIND_FUNCS = {

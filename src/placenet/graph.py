@@ -117,11 +117,13 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
     lines starting with ``#`` are ignored; duplicate and reversed duplicate
     lines collapse to one edge. A self-loop line ``u u`` registers the node
     but adds no edge (this is also how isolated nodes survive a
-    serialize/parse round trip).
+    serialize/parse round trip). No id starts with ``#``: written first on
+    a line, it would make the line a comment.
 
     Raises:
         GraphParseError: if a non-comment line does not hold exactly two
-            tokens; the error carries the 1-based line number.
+            tokens, or a token starts with ``#``; the error carries the
+            1-based line number.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     edges: list[tuple[str, str]] = []
@@ -134,6 +136,8 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(line_no, f"expected 2 tokens, found {len(parts)}")
         u, v = parts
+        if v.startswith("#"):  # u cannot: the line would be a comment
+            raise GraphParseError(line_no, f"node id {v!r} starts with '#'")
         if u == v:
             lone.append(u)
         else:
@@ -146,9 +150,16 @@ def serialize_edge_list(g: Graph) -> str:
 
     Edges come first in sorted order, then isolated nodes as self-loop
     lines, so ``parse_edge_list(serialize_edge_list(g)) == g`` for every
-    graph. Output is byte-deterministic.
+    graph it writes. Output is byte-deterministic.
+
+    Raises:
+        ValueError: if a node id is empty, holds whitespace or starts with
+            ``#``, which the format cannot hold.
     """
     names = g.nodes()
+    bad = next((w for w in names if w.split() != [w] or w[0] == "#"), None)
+    if bad is not None:
+        raise ValueError(f"node id {bad!r} cannot be written to an edge list")
     u, v = g.edge_indices()
     out = [f"{names[i]} {names[j]}" for i, j in zip(u.tolist(), v.tolist())]
     indptr = g.indptr.tolist()

@@ -622,3 +622,26 @@ def sgns_block_reference(records, rng, *, dim, epochs, negatives, learning_rate,
         step += per_epoch
         losses.append(loss / per_epoch)
     return vocab, w_in, losses
+
+
+def padded_ids(prefix: str, n: int) -> list[str]:
+    """``prefix`` plus 0 .. n-1, zero-padded to the width of n-1."""
+    width = len(str(n - 1)) if n > 1 else 1
+    return [prefix + str(i).zfill(width) for i in range(n)]
+
+
+def block_model_reference(blocks, pairs, rng) -> list[tuple[str, str]]:
+    """The generators' block model drawn per candidate: for each ``(a, b, p)``
+    every index pair of blocks a and b is built up front (the upper
+    triangle by ``np.triu_indices`` if a == b, else all of ``np.indices``,
+    both row-major) and gets one draw, kept if below p."""
+    edges = []
+    for a, b, p in pairs:
+        left, right = blocks[a], blocks[b]
+        if a == b:
+            i, j = np.triu_indices(len(left), 1)
+        else:
+            i, j = np.indices((len(left), len(right))).reshape(2, -1)
+        hit = rng.random(len(i)) < p
+        edges += [(left[x], right[y]) for x, y in zip(i[hit].tolist(), j[hit].tolist())]
+    return edges

@@ -514,6 +514,18 @@ def test_malformed_edge_file_names_file_and_line(tmp_path, capsys):
     assert "bad.edges" in err and "line 2" in err
 
 
+def test_edge_file_id_starting_with_hash_names_file_and_line(tmp_path, capsys):
+    (tmp_path / "bad.edges").write_text("a b\n# a comment\nb #c\n")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(
+        {"id": "g", "path": "bad.edges", "category": "c"}) + "\n")
+    assert main(["features", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.edges" in err and "line 3" in err and "'#c'" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def write_path_manifest(root, n):
     (root / "p.edges").write_text(
         "\n".join(f"n{i:03d} n{i + 1:03d}" for i in range(n - 1)) + "\n"

@@ -1,8 +1,13 @@
 """Synthetic generator determinism, degenerate cases and archetype configs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import brute
+import placenet.generators
 from placenet.features import avg_clustering, avg_path_length_lcc, compute_features
 from placenet.generators import (
     ArchetypeSpec,
@@ -12,6 +17,7 @@ from placenet.generators import (
     gen_multi_core_community,
 )
 from placenet.graph import Graph, connected_components
+from placenet.seeding import derive_rng
 
 
 def test_er_p0_is_edgeless_with_all_nodes():
@@ -153,3 +159,65 @@ def test_core_periphery_matches_candidate_list_definition(n_core, n_periphery):
     edges += _tuple_sample(within(peri), 0.1, rng)
     assert gen_core_periphery(n_core, n_periphery, 0.5, 0.2, 0.1, seed=21) == \
         Graph(edges, nodes=core + peri)
+
+
+def _oracle(prefixes_sizes, pairs, seed, key):
+    blocks = [brute.padded_ids(prefix, n) for prefix, n in prefixes_sizes]
+    edges = brute.block_model_reference(blocks, pairs, derive_rng(seed, key))
+    return Graph(edges, nodes=[u for block in blocks for u in block])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
+def test_block_generators_match_per_candidate_oracle(n, p):
+    q = p / 4
+    for seed in (0, 9):
+        assert gen_er(n, p, seed=seed) == _oracle([("v", n)], [(0, 0, p)], seed, 0xE6)
+        for n_periphery in (0, 3, n):
+            assert gen_core_periphery(n, n_periphery, p, 1 - p, q, seed=seed) == _oracle(
+                [("c", n), ("p", n_periphery)],
+                [(0, 0, p), (0, 1, 1 - p), (1, 1, q)], seed, 0xC0)
+        # from 11 cores on, id order ("k10n..." < "k2n...") is not block order
+        for n_cores in (1, 3, 12):
+            pairs = [(b, b, p) for b in range(n_cores)]
+            pairs += [(i, j, q) for i in range(n_cores) for j in range(i + 1, n_cores)]
+            assert gen_multi_core_community(n_cores, n, p, q, seed=seed) == _oracle(
+                [(f"k{b}n", n) for b in range(n_cores)], pairs, seed, 0x3C)
+
+
+def _block_graphs(seed):
+    for n in (0, 1, 2, 4, 5, 13, 40):
+        for p in (0.0, 0.25, 0.9, 1.0):
+            yield gen_er(n, p, seed=seed)
+            yield gen_core_periphery(n, n + 3, p, p / 2, p / 5, seed=seed)
+            yield gen_multi_core_community(3, n, p, p / 3, seed=seed)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 64])
+def test_chunked_draws_equal_one_draw(monkeypatch, chunk):
+    whole = [g for seed in (0, 4, 17) for g in _block_graphs(seed)]
+    monkeypatch.setattr(placenet.generators, "_CHUNK", chunk)
+    assert [g for seed in (0, 4, 17) for g in _block_graphs(seed)] == whole
+
+
+def test_er_20000_nodes_stays_far_below_quadratic_memory():
+    # The child reads its own peak RSS from VmHWM: ru_maxrss of a child
+    # started by subprocess (vfork, then exec) starts at the parent's peak.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak RSS from /proc")
+    code = """
+from placenet.generators import gen_er
+g = gen_er(20000, 1e-4)
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+print(g.node_count(), g.edge_count(), int(hwm.split()[1]) // 1024)
+"""
+    src = os.path.dirname(os.path.dirname(placenet.generators.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout.split()
+    nodes, edges, peak_mb = map(int, out)
+    assert nodes == 20000
+    assert 15000 < edges < 25000  # about 20000 * 19999 / 2 * 1e-4 = 19999
+    assert peak_mb < 500, f"peak RSS {peak_mb} MB"

@@ -45,6 +45,29 @@ def test_parse_malformed_line_reports_line_number():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["b #a", "a b\nc #", "x x\nz #z"])
+def test_parse_rejects_id_starting_with_hash(text):
+    # "b #a" would give the edge ("#a", "b"), which serializes as the
+    # comment line "#a b"
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line_no == text.count("\n") + 1
+    assert "starts with '#'" in str(exc.value)
+
+
+def test_hash_inside_an_id_is_kept():
+    g = parse_edge_list("a#1 b#")
+    assert g.edges() == [("a#1", "b#")]
+    assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("bad", ["#a", "", "a b", "a\tb", "tail\n", "\u2028x"])
+def test_serialize_rejects_id_it_cannot_write_back(bad):
+    for g in (Graph([("a", bad)]), Graph(nodes=[bad])):
+        with pytest.raises(ValueError, match="cannot be written to an edge list"):
+            serialize_edge_list(g)
+
+
 def test_self_loop_line_registers_isolated_node():
     g = parse_edge_list("z z")
     assert g.nodes() == ("z",)

@@ -176,18 +176,6 @@ def test_decile_monotone_transform_invariance():
 # bin medians
 
 
-def make_table(rates_by_region, cat="bar"):
-    records = []
-    pid = 0
-    # build records so that weighted counts produce the requested rates
-    counts = {}
-    for r, rate in rates_by_region.items():
-        counts[(r, cat)] = Fraction(rate).limit_denominator(10**6)
-    regions = {r: region(population=1000, rucc=(i % 9) + 1)
-               for i, r in enumerate(sorted(rates_by_region))}
-    return per_capita(counts, regions), regions
-
-
 def test_bin_median_single_region_bins():
     regions = {
         "r1": region(rucc=1),
