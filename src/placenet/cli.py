@@ -338,7 +338,8 @@ def _cmd_embed(args, out_dir: Path):
         ):
             raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
         if args.allowlist:
-            lines = (line.strip() for line in read_text(args.allowlist).splitlines())
+            # read_text ends each line with "\n"; splitlines() would also split at "\x0c"
+            lines = (line.strip() for line in read_text(args.allowlist).split("\n"))
             allow = {line for line in lines if line and not line.startswith("#")}
     model = train_skipgram(
         records,

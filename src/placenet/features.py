@@ -25,6 +25,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 # tracer wraps them under these names.
 from placenet.graph import (  # noqa: F401
     Graph,
+    _from_indices,
     bfs_distances,
     connected_components,
     largest_connected_component,
@@ -475,7 +476,7 @@ def k_core_subgraph(g: Graph, k: int) -> Graph:
     """Maximal subgraph in which every node has degree >= k: the nodes of
     core number at least k."""
     _check_k((k,))
-    return g.subgraph(u for u, c in zip(g.nodes(), _core_numbers(g)) if c >= k)
+    return g._induced(np.array(_core_numbers(g)) >= k)
 
 
 def k_brace_subgraph(g: Graph, k: int) -> Graph:
@@ -485,10 +486,10 @@ def k_brace_subgraph(g: Graph, k: int) -> Graph:
     of brace number at least k; nodes left without an edge are dropped.
     """
     _check_k((k,))
-    edges, adj, support = _edge_supports(g)
-    ids = g.nodes()
-    brace = _brace_numbers(edges, adj, support)
-    return Graph((ids[u], ids[v]) for (u, v), b in zip(edges, brace) if b >= k)
+    u, v = g.edge_indices()
+    kept = np.array(_brace_numbers(*_edge_supports(g))) >= k
+    ends, uv = np.unique(np.concatenate([u[kept], v[kept]]), return_inverse=True)
+    return _from_indices([g.nodes()[i] for i in ends.tolist()], *uv.reshape(2, -1))
 
 
 def compute_features(

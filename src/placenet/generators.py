@@ -14,7 +14,7 @@ from typing import Mapping, get_type_hints
 
 import numpy as np
 
-from placenet.graph import Graph
+from placenet.graph import Graph, _from_indices
 from placenet.seeding import derive_rng
 
 
@@ -47,10 +47,11 @@ def _block_model(blocks: list[list[str]], pairs, rng) -> Graph:
     Each ``(a, b, p)`` in ``pairs`` keeps each candidate ``(i, j)`` of blocks
     a and b with probability p, one draw per candidate in row-major order;
     within a block (a == b), row i holds the columns i+1 .. n-1. Draws come
-    ``_CHUNK`` at a time and only the kept candidates are decoded, so
+    ``_CHUNK`` at a time and the kept candidates stay index arrays, so
     memory is O(chunk + n + m).
     """
-    edges: list[tuple[str, str]] = []
+    offsets = np.cumsum([0] + [len(block) for block in blocks])
+    us, vs = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for a, b, p in pairs:
         left, right, within = blocks[a], blocks[b], a == b
         lengths = np.arange(len(left) - 1, -1, -1) if within else np.full(len(left), len(right))
@@ -60,9 +61,10 @@ def _block_model(blocks: list[list[str]], pairs, rng) -> Graph:
             hits = np.flatnonzero(rng.random(min(_CHUNK, total - lo)) < p) + lo
             rows = np.searchsorted(starts, hits, side="right") - 1
             cols = hits - starts[rows] + (rows + 1 if within else 0)
-            edges += zip(map(left.__getitem__, rows.tolist()),
-                         map(right.__getitem__, cols.tolist()))
-    return Graph(edges, nodes=[u for block in blocks for u in block])
+            us.append(rows + offsets[a])
+            vs.append(cols + offsets[b])
+    ids = [w for block in blocks for w in block]
+    return _from_indices(ids, np.concatenate(us), np.concatenate(vs))
 
 
 def gen_er(n: int, p: float, seed: int = 0) -> Graph:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import accumulate, chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,39 +23,41 @@ class Graph:
     Node ids are opaque strings. Self-loop edges passed to the constructor
     register the node but no edge; duplicate edges collapse to one. The
     graph is stored as its sorted node ids and one int32 CSR adjacency,
-    built once here: node ``i`` is ``nodes()[i]`` and its neighbours are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted. Both arrays are
-    read-only. The one other field, the largest component kept by
-    ``largest_connected_component``, is filled idempotently with an equal
-    graph, so instances are safe to share across concurrent feature
-    computations.
+    built once by ``_build``, which builds every graph: node ``i`` is
+    ``nodes()[i]`` and its neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
+    sorted. Both arrays are read-only. The one other field, the largest
+    component kept by ``largest_connected_component``, is filled
+    idempotently with an equal graph, so instances are safe to share
+    across concurrent feature computations.
     """
 
     __slots__ = ("_nodes", "indptr", "indices", "_lcc")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()):
-        us: list[str] = []
-        vs: list[str] = []
-        for u, v in edges:
-            us.append(u)
-            vs.append(v)
-        ids = tuple(sorted({*nodes, *us, *vs}))
-        n = len(ids)
-        index = dict(zip(ids, range(n)))
-        adj: list[set[int]] = [set() for _ in ids]
-        for i, j in zip(map(index.__getitem__, us), map(index.__getitem__, vs)):
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
-        lists = [sorted(row) for row in adj]
-        indptr = np.fromiter(accumulate(map(len, lists), initial=0), np.int32, n + 1)
-        indices = np.fromiter(chain.from_iterable(lists), np.int32, int(indptr[-1]))
-        self._set(ids, indptr, indices)
+        ends = [w for u, v in edges for w in (u, v)]
+        index = {w: i for i, w in enumerate(dict.fromkeys([*nodes, *ends]))}
+        uv = np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))
+        self._build(tuple(index), uv[0::2], uv[1::2])
 
-    def _set(self, ids: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+    def _build(self, ids: Sequence[str], u: np.ndarray, v: np.ndarray) -> "Graph":
+        """Fill this graph from the unique node ids ``ids``, in any order,
+        and the edges ``ids[u[e]] -- ids[v[e]]``; loops and repeated edges
+        are dropped."""
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        rank = np.empty(n, np.int64)
+        rank[order] = np.arange(n)
+        # row-major keys of both orientations: one sort gives sorted rows
+        keys = rank[np.concatenate([u, v])] * n + rank[np.concatenate([v, u])]
+        keys.sort()
+        rows, cols = np.divmod(keys, n)
+        simple = rows != cols  # and not a repeat of the key before
+        simple[1:] &= keys[1:] != keys[:-1]
+        indptr = np.searchsorted(rows[simple], np.arange(n + 1)).astype(np.int32)
+        indices = cols[simple].astype(np.int32)
         indptr.flags.writeable = False
         indices.flags.writeable = False
-        self._nodes, self.indptr, self.indices = ids, indptr, indices
+        self._nodes, self.indptr, self.indices = tuple(ids[i] for i in order), indptr, indices
         self._lcc = None
         return self
 
@@ -71,33 +72,19 @@ class Graph:
         return self._nodes
 
     def edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node indices ``(u, v)`` of every edge, u < v, in ``edges()`` order."""
+        """Node indices ``(u, v)`` of every edge, u < v, sorted by (u, v)."""
         degrees = self.indptr[1:] - self.indptr[:-1]
         rows = np.repeat(np.arange(len(self._nodes), dtype=np.int32), degrees)
         upper = self.indices > rows
         return rows[upper], self.indices[upper]
 
-    def edges(self) -> list[tuple[str, str]]:
-        """All edges as (u, v) pairs with u < v, sorted."""
-        name = self._nodes.__getitem__
-        u, v = self.edge_indices()
-        return list(zip(map(name, u.tolist()), map(name, v.tolist())))
-
-    def subgraph(self, keep: Iterable[str]) -> "Graph":
-        """Induced subgraph on ``keep`` (unknown ids are ignored)."""
-        keep = set(keep)
-        return self._induced(np.array([u in keep for u in self._nodes], dtype=bool))
-
     def _induced(self, mask: np.ndarray) -> "Graph":
         """Induced subgraph on the nodes where ``mask`` is true."""
-        n = len(self._nodes)
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        kept = mask[rows] & mask[self.indices]
-        indptr = np.zeros(int(mask.sum()) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[kept], minlength=n)[mask], out=indptr[1:])
-        relabel = (np.cumsum(mask) - 1).astype(np.int32)
-        ids = tuple(u for u, keep in zip(self._nodes, mask.tolist()) if keep)
-        return Graph.__new__(Graph)._set(ids, indptr, relabel[self.indices[kept]])
+        u, v = self.edge_indices()
+        kept = mask[u] & mask[v]
+        relabel = np.cumsum(mask) - 1
+        ids = [w for w, keep in zip(self._nodes, mask.tolist()) if keep]
+        return _from_indices(ids, relabel[u[kept]], relabel[v[kept]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -110,25 +97,32 @@ class Graph:
         return f"Graph(n={self.node_count()}, m={self.edge_count()})"
 
 
+def _from_indices(ids: Sequence[str], u: np.ndarray, v: np.ndarray) -> Graph:
+    """A new graph, built by ``Graph._build`` from index arrays."""
+    return Graph.__new__(Graph)._build(ids, u, v)
+
+
 def parse_edge_list(source: str | Iterable[str]) -> Graph:
     """Parse edge-list text into a graph.
 
-    One edge per line as two whitespace-separated tokens. Blank lines and
-    lines starting with ``#`` are ignored; duplicate and reversed duplicate
-    lines collapse to one edge. A self-loop line ``u u`` registers the node
-    but adds no edge (this is also how isolated nodes survive a
-    serialize/parse round trip). No id starts with ``#``: written first on
-    a line, it would make the line a comment.
+    One edge per line as two whitespace-separated tokens. Only ``\\n``,
+    ``\\r\\n`` and ``\\r`` end a line: a form feed and the other separators
+    of ``str.splitlines`` are whitespace. Blank lines and lines starting
+    with ``#`` are ignored; duplicate and reversed duplicate lines collapse
+    to one edge. A self-loop line ``u u`` registers the node but adds no
+    edge (this is also how isolated nodes survive a serialize/parse round
+    trip). No id starts with ``#``: written first on a line, it would make
+    the line a comment.
 
     Raises:
         GraphParseError: if a non-comment line does not hold exactly two
             tokens, or a token starts with ``#``; the error carries the
             1-based line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    if isinstance(source, str):
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     edges: list[tuple[str, str]] = []
-    lone: list[str] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -138,11 +132,8 @@ def parse_edge_list(source: str | Iterable[str]) -> Graph:
         u, v = parts
         if v.startswith("#"):  # u cannot: the line would be a comment
             raise GraphParseError(line_no, f"node id {v!r} starts with '#'")
-        if u == v:
-            lone.append(u)
-        else:
-            edges.append((u, v))
-    return Graph(edges, nodes=lone)
+        edges.append((u, v))
+    return Graph(edges)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -56,14 +56,17 @@ def read_csv(
 ) -> tuple[list[str], list[T]]:
     """Header and ``parse(*cells)`` of every data row of a CSV table.
 
-    The header must name every one of ``columns``; ``parse`` gets the
-    row's cells for those columns in that order, or all of its cells when
-    ``columns`` is None. Every row must have as many cells as the header.
-    A ``ValueError`` from ``parse`` is reported with the row's line.
+    The header must name each column once and every one of ``columns``;
+    ``parse`` gets the row's cells for those columns in that order, or all
+    of its cells when ``columns`` is None. Every row must have as many
+    cells as the header. A ``ValueError`` from ``parse`` names the row's line.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: line 1: header names column {repeated!r} twice")
         missing = [c for c in columns or () if c not in header]
         if missing:
             raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")

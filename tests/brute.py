@@ -15,10 +15,17 @@ from itertools import combinations
 import numpy as np
 
 
+def edge_list(g) -> list[tuple[str, str]]:
+    """All edges as id pairs ``(u, v)``, u < v, sorted, from ``g.edge_indices()``."""
+    names = g.nodes()
+    u, v = g.edge_indices()
+    return [(names[i], names[j]) for i, j in zip(u.tolist(), v.tolist())]
+
+
 def adjacency_sets(g) -> dict[str, set[str]]:
-    """Each node id's neighbour ids, from ``g.nodes()`` and ``g.edges()``."""
+    """Each node id's neighbour ids, from ``g.nodes()`` and ``edge_list(g)``."""
     adj: dict[str, set[str]] = {u: set() for u in g.nodes()}
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -55,7 +62,7 @@ def components_lists(g) -> list[list[str]]:
             x = parent[x]
         return x
 
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -113,7 +120,7 @@ def assortativity_corrcoef(g) -> float:
         return 0.0
     deg = degrees(g)
     xs, ys = [], []
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         xs += [deg[u], deg[v]]
         ys += [deg[v], deg[u]]
     x = np.array(xs, dtype=float)
@@ -131,7 +138,7 @@ def assortativity_exact(g) -> float:
     """
     deg = degrees(g)
     xs, ys = [], []
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         xs += [deg[u], deg[v]]
         ys += [deg[v], deg[u]]
     n, sx = len(xs), sum(xs)
@@ -163,7 +170,7 @@ def apl_floyd_warshall(g) -> float:
 def lambda2_dense(g, scope: str = "lcc") -> float:
     if scope == "global":
         nodes = sorted(g.nodes())
-        if component_count(nodes, g.edges()) > 1:
+        if component_count(nodes, edge_list(g)) > 1:
             return 0.0
     else:
         nodes = largest_component_nodes(g)
@@ -184,7 +191,7 @@ def lambda2_dense(g, scope: str = "lcc") -> float:
 def kcore_peel_naive(g, k: int) -> tuple[set[str], set[tuple[str, str]]]:
     """Whole-pass peeling to a fixpoint (different order than the library)."""
     nodes = set(g.nodes())
-    edges = set(g.edges())
+    edges = set(edge_list(g))
     while True:
         deg: dict[str, int] = {u: 0 for u in nodes}
         for u, v in edges:
@@ -199,7 +206,7 @@ def kcore_peel_naive(g, k: int) -> tuple[set[str], set[tuple[str, str]]]:
 
 def kbrace_fixpoint_naive(g, k: int) -> tuple[set[str], set[tuple[str, str]]]:
     """Recompute every edge's embeddedness from scratch each pass."""
-    edges = set(g.edges())
+    edges = set(edge_list(g))
     while True:
         nbrs: dict[str, set[str]] = {}
         for u, v in edges:
@@ -226,7 +233,7 @@ def modularity_of(g, assignment: dict[str, int]) -> float:
     q = 0.0
     for c in comms:
         members = {u for u, cc in assignment.items() if cc == c}
-        intra = sum(1 for u, v in g.edges() if u in members and v in members)
+        intra = sum(1 for u, v in edge_list(g) if u in members and v in members)
         deg = sum(degree[u] for u in members)
         q += intra / m - (deg / (2.0 * m)) ** 2
     return q
@@ -309,7 +316,7 @@ def modularity_exact(g, assignment: dict[str, int]) -> Fraction:
         return Fraction(0)
     intra: dict[int, int] = {}
     deg: dict[int, int] = {}
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         if assignment[u] == assignment[v]:
             intra[assignment[u]] = intra.get(assignment[u], 0) + 1
     for u, d in degrees(g).items():
@@ -343,7 +350,7 @@ def best_modularity_exhaustive(g) -> float:
     degree = degrees(g)
     deg = np.array([degree[u] for u in nodes], dtype=float)
     adj = np.zeros((n, n))
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         adj[idx[u], idx[v]] = adj[idx[v], idx[u]] = 1.0
     parts = all_partition_assignments(n)
     q = np.full(len(parts), -float((deg**2).sum()) / (4.0 * m * m))

@@ -592,6 +592,17 @@ def test_repeated_graph_id_in_features_csv_names_file_and_line(tmp_path, capsys)
     assert f"data error: {features}: line 3: duplicate graph id 'p'" in capsys.readouterr().err
 
 
+def test_repeated_header_column_in_features_csv_names_file_and_line(tmp_path, capsys):
+    # two "a" columns would make two importance rows of one rank
+    manifest = write_path_manifest(tmp_path, 20)
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,a,a\np,1.0,2.0\n")
+    assert main(["similarity", "--features", str(features), "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"data error: {features}: line 1: header names column 'a' twice" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lambda2-tol", "nan"), ("--lambda2-tol", "inf"), ("--lambda2-tol", "0"),
     ("--lambda2-tol", "-1e-8"), ("--lambda2-tol", "x"),
@@ -855,6 +866,21 @@ def test_represent_rerun_omits_stale_copies(tmp_path):
     assert len(stale) == 1 and next(iter(stale)).startswith("representatives/scatter__")
     assert (rep / next(iter(stale))).exists()  # still on disk, but not reported
     assert outputs == copies | {"representatives.csv"}
+
+
+def test_allowlist_lines_end_only_at_newlines(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"categories": ["CAFE", label]}) + "\n"
+                              for label in ["COFFEE"] * 8 + ["FOOD"] * 4))
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"restaurants": "CAFE"}))
+    allow = tmp_path / "allow.txt"
+    allow.write_text("COFFEE\x0cTEA\nFOOD\n")  # one label that holds a form feed
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(tmp_path / "emb"),
+                 "--dim", "4", "--epochs", "2", "--seeds", str(seeds),
+                 "--allowlist", str(allow), "--top-k", "10"]) == 0
+    neighbors = (tmp_path / "emb" / "neighbors.csv").read_text().splitlines()
+    assert {line.split(",")[3] for line in neighbors[1:]} == {"FOOD"}
 
 
 def test_allowlist_without_seeds_is_digested(tmp_path):

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+import brute
+from placenet.features import k_brace_subgraph, k_core_subgraph
+from placenet.generators import (
+    gen_core_periphery,
+    gen_dyad_triad_scatter,
+    gen_er,
+    gen_multi_core_community,
+)
 from placenet.graph import (
     Graph,
     GraphParseError,
@@ -35,7 +43,7 @@ def test_parse_triangle():
 
 def test_parse_ignores_blank_lines_and_comments():
     g = parse_edge_list("\n# header\n  \nx y\n")
-    assert g.edges() == [("x", "y")]
+    assert brute.edge_list(g) == [("x", "y")]
 
 
 def test_parse_malformed_line_reports_line_number():
@@ -43,6 +51,18 @@ def test_parse_malformed_line_reports_line_number():
         parse_edge_list("a b\nq\nc d")
     assert exc.value.line_no == 2
     assert "line 2" in str(exc.value)
+
+
+def test_parse_ends_lines_only_at_newlines():
+    # split() takes these for whitespace inside a line; str.splitlines()
+    # would also end lines at them
+    seps = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    text = "".join(f"a{i}{sep}b{i}\n" for i, sep in enumerate(seps)) + "c d\r\ne f\rg h"
+    pairs = [(f"a{i}", f"b{i}") for i in range(len(seps))]
+    assert brute.edge_list(parse_edge_list(text)) == pairs + [("c", "d"), ("e", "f"), ("g", "h")]
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list("a\x0cb\nc d e\n")
+    assert exc.value.line_no == 2
 
 
 @pytest.mark.parametrize("text", ["b #a", "a b\nc #", "x x\nz #z"])
@@ -57,7 +77,7 @@ def test_parse_rejects_id_starting_with_hash(text):
 
 def test_hash_inside_an_id_is_kept():
     g = parse_edge_list("a#1 b#")
-    assert g.edges() == [("a#1", "b#")]
+    assert brute.edge_list(g) == [("a#1", "b#")]
     assert parse_edge_list(serialize_edge_list(g)) == g
 
 
@@ -90,7 +110,7 @@ def test_degree_sum_equals_twice_edges():
             for _ in range(int(rng.integers(0, 25)))
         ]
         g = Graph(pairs)
-        assert int(np.diff(g.indptr).sum()) == 2 * g.edge_count() == 2 * len(g.edges())
+        assert int(np.diff(g.indptr).sum()) == 2 * g.edge_count() == 2 * len(brute.edge_list(g))
 
 
 def test_serialize_parse_round_trip():
@@ -189,7 +209,7 @@ def test_bfs_matches_networkx(n_nodes):
         g = Graph(pairs, nodes=isolated)
         h = nx.Graph()
         h.add_nodes_from(g.nodes())
-        h.add_edges_from(g.edges())
+        h.add_edges_from(brute.edge_list(g))
         nodes = g.nodes()
         sources = {nodes[int(i)] for i in rng.integers(0, len(nodes), size=5)}
         for source in sorted(sources | set(isolated[:1])):
@@ -211,11 +231,27 @@ def test_bfs_triangle_inequality_sampled():
             assert dist[a][c] <= dist[a][b] + dist[b][c]
 
 
-def test_subgraph_induced():
-    g = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
-    sub = g.subgraph(["a", "b", "c", "ghost"])
-    assert set(sub.nodes()) == {"a", "b", "c"}
-    assert sub.edge_count() == 3
+def assert_sorted_csr(g):
+    """int32 read-only arrays, sorted unique ids, and rows that are the
+    sorted neighbour sets of ``brute.adjacency_sets``: symmetric, simple and
+    loop-free, since that oracle reads only the upper triangle."""
+    ids = g.nodes()
+    assert list(ids) == sorted(set(ids))
+    assert g.indptr.dtype == g.indices.dtype == np.int32
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+    assert g.indptr[0] == 0 and len(g.indptr) == len(ids) + 1
+    position = {u: i for i, u in enumerate(ids)}
+    for i, nbrs in enumerate(brute.adjacency_sets(g).values()):
+        row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+        assert row == sorted(position[v] for v in nbrs)
+
+
+def assert_every_path_builds_sorted_csr(g):
+    assert_sorted_csr(g)
+    assert_sorted_csr(largest_connected_component(g))
+    for k in (1, 2, 3):
+        assert_sorted_csr(k_core_subgraph(g, k))
+        assert_sorted_csr(k_brace_subgraph(g, k))
 
 
 @pytest.mark.parametrize("n_nodes", [5, 30, 200])
@@ -228,14 +264,26 @@ def test_csr_rows_are_sorted_neighbour_sets(n_nodes):
         ]
         extra = [f"iso{int(rng.integers(0, 4))}" for _ in range(int(rng.integers(0, 3)))]
         g = Graph(pairs, nodes=extra)
-        ids = sorted({*extra, *(u for p in pairs for u in p)})
-        adj = {u: set() for u in ids}
+        adj = {u: set() for u in sorted({*extra, *(u for p in pairs for u in p)})}
         for u, v in pairs:
             if u != v:
                 adj[u].add(v)
                 adj[v].add(u)
-        assert g.nodes() == tuple(ids)
-        assert g.indptr.dtype == g.indices.dtype == np.int32
-        for i, u in enumerate(ids):
-            row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
-            assert row == sorted(ids.index(v) for v in adj[u])
+        assert brute.adjacency_sets(g) == adj
+        assert g.nodes() == tuple(adj)
+        text = "".join(f"{u} {v}\n" for u, v in pairs) + "".join(f"{w} {w}\n" for w in extra)
+        assert parse_edge_list(text) == g
+        assert_every_path_builds_sorted_csr(g)
+    # block generators list their ids in block order; from 11 cores on
+    # that is not id order ("k10n..." < "k2n...")
+    size = max(1, n_nodes // 4)
+    for seed in (0, 1):
+        for g in (
+            Graph(), Graph(nodes=["b", "a"]),
+            gen_er(n_nodes, 4 / n_nodes, seed=seed),
+            gen_core_periphery(size, n_nodes - size, 0.8, 0.1, 0.02, seed=seed),
+            gen_multi_core_community(12, size, 0.6, 0.05, seed=seed),
+            gen_multi_core_community(3, size, 0.6, 0.05, seed=seed),
+            gen_dyad_triad_scatter(size, 0.5, seed=seed),
+        ):
+            assert_every_path_builds_sorted_csr(g)
