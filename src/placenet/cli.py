@@ -33,7 +33,7 @@ from placenet.features import (
     write_features_csv,
 )
 from placenet.forest import ForestParams
-from placenet.generators import ArchetypeSpec
+from placenet.generators import archetype
 from placenet.graph import GraphParseError, parse_edge_list, serialize_edge_list
 from placenet.prevalence import (
     BIN_KEYS,
@@ -175,8 +175,9 @@ def _safe_name(text: str) -> str:
 
 
 def _read_config(path: Path) -> configparser.ConfigParser:
-    """The INI archetype config; a syntax error names the file and line."""
-    parser = configparser.ConfigParser()
+    """The INI archetype config, values taken literally; a syntax error names
+    the file and line."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open_text(path) as fh:
             parser.read_file(fh)
@@ -195,47 +196,46 @@ def _read_config(path: Path) -> configparser.ConfigParser:
 
 def _cmd_generate(args, out_dir: Path):
     parser = _read_config(args.config)
-    (out_dir / "graphs").mkdir(exist_ok=True)
 
-    def integer(section: str, key: str, text: str) -> int:
+    def integer(key: str, text: str) -> int:
         try:
             return int(text)
         except ValueError:
-            raise ValueError(f"{args.config}: section [{section}]: {key} must be an "
-                             f"integer, got {text!r}")
+            raise ValueError(f"{key} must be an integer, got {text!r}")
 
-    written: list[str] = []
-    manifest: list[dict] = []
+    graphs = []  # (graph id, category, recipe, seed), checked before any write
     for section_index, section in enumerate(parser.sections()):
+        items = dict(parser.items(section))
         try:
-            items = dict(parser.items(section))
-        except configparser.InterpolationError as exc:
+            if "/" in section or "\\" in section:
+                raise ValueError("a section name must not hold '/' or '\\'")
+            count = integer("count", items.pop("count", "1"))
+            if count < 1:
+                raise ValueError("count must be >= 1")
+            category = items.pop("category", section)
+            if not category:
+                raise ValueError("category must not be empty")
+            section_seed = items.pop("seed", None)
+            if section_seed is not None:
+                section_seed = integer("seed", section_seed)
+            recipe = archetype(items)
+        except ValueError as exc:
             raise ValueError(f"{args.config}: section [{section}]: {exc}")
-        count = integer(section, "count", items.pop("count", "1"))
-        if count < 1:
-            raise ValueError(f"{args.config}: section [{section}]: count must be >= 1")
-        category = items.pop("category", section)
-        section_seed = items.pop("seed", None)
-        if section_seed is not None:
-            section_seed = integer(section, "seed", section_seed)
         for i in range(count):
             if section_seed is not None:
                 graph_seed = derive_seed(section_seed, i)
             else:
                 graph_seed = derive_seed(args.seed, section_index, i)
-            try:
-                spec = ArchetypeSpec.from_items(items, seed=graph_seed)
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: section [{section}]: {exc}")
-            graph_id = f"{section}_{i:03d}"
-            rel = f"graphs/{graph_id}.edges"
-            (out_dir / rel).write_text(
-                serialize_edge_list(spec.build()), encoding="utf-8"
-            )
-            written.append(rel)
-            manifest.append({"id": graph_id, "path": rel, "category": category})
+            graphs.append((f"{section}_{i:03d}", category, recipe, graph_seed))
+    (out_dir / "graphs").mkdir(exist_ok=True)
+    for graph_id, _, recipe, graph_seed in graphs:
+        (out_dir / "graphs" / f"{graph_id}.edges").write_text(
+            serialize_edge_list(recipe(seed=graph_seed)), encoding="utf-8"
+        )
+    manifest = [{"id": graph_id, "path": f"graphs/{graph_id}.edges", "category": category}
+                for graph_id, category, _, _ in graphs]
     write_jsonl(out_dir / "manifest.jsonl", manifest)
-    return written + ["manifest.jsonl"], {}
+    return [entry["path"] for entry in manifest] + ["manifest.jsonl"], {}
 
 
 def _cmd_features(args, out_dir: Path):
@@ -337,10 +337,10 @@ def _cmd_embed(args, out_dir: Path):
             isinstance(k, str) and isinstance(v, str) for k, v in seeds_map.items()
         ):
             raise ValueError(f"{args.seeds}: expected a JSON object of type -> label")
-        if args.allowlist:
-            # read_text ends each line with "\n"; splitlines() would also split at "\x0c"
-            lines = (line.strip() for line in read_text(args.allowlist).split("\n"))
-            allow = {line for line in lines if line and not line.startswith("#")}
+    if args.allowlist:
+        # read_text ends each line with "\n"; splitlines() would also split at "\x0c"
+        lines = (line.strip() for line in read_text(args.allowlist).split("\n"))
+        allow = {line for line in lines if line and not line.startswith("#")}
     model = train_skipgram(
         records,
         dim=args.dim,
@@ -350,6 +350,12 @@ def _cmd_embed(args, out_dir: Path):
         min_count=args.min_count,
         seed=args.seed,
     )
+    for place_type, seed_label in sorted(seeds_map.items()):  # checked before any write
+        if seed_label not in model:
+            raise ValueError(
+                f"{args.seeds}: seed label {seed_label!r} for type "
+                f"{place_type!r} is not in the vocabulary"
+            )
     save_model_tsv(model, str(out_dir / "model.tsv"))
     write_csv(out_dir / "losses.csv", ["epoch", "loss"], (
         [epoch, repr(loss)] for epoch, loss in enumerate(model.epoch_losses, start=1)
@@ -359,13 +365,7 @@ def _cmd_embed(args, out_dir: Path):
         return written, {}
 
     rows = []
-    for place_type in sorted(seeds_map):
-        seed_label = seeds_map[place_type]
-        if seed_label not in model:
-            raise ValueError(
-                f"{args.seeds}: seed label {seed_label!r} for type "
-                f"{place_type!r} is not in the vocabulary"
-            )
+    for place_type, seed_label in sorted(seeds_map.items()):
         neighbors = nearest_categories(model, seed_label, top_k=args.top_k)
         for rank, (label, cosine) in enumerate(neighbors, start=1):
             if allow is None or label in allow:

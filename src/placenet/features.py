@@ -575,8 +575,8 @@ def read_features_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     header, rows = read_csv(path, None, lambda graph_id, *cells: (
         unique(seen, graph_id, "graph id"), [number(c) for c in cells]
     ))
-    if header[:1] != ["graph_id"]:
-        raise ValueError(f"{path}: line 1: missing feature CSV header")
+    if header[:1] != ["graph_id"] or len(header) < 2:
+        raise ValueError(f"{path}: line 1: expected graph_id and feature names in the header")
     ids = [graph_id for graph_id, _ in rows]
     matrix = np.array([values for _, values in rows], dtype=float)
     return ids, header[1:], matrix.reshape(len(ids), len(header) - 1)

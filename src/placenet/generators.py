@@ -9,8 +9,8 @@ block membership so tests can assert ground truth without side channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, get_type_hints
+from functools import partial
+from typing import Callable, Mapping, get_type_hints
 
 import numpy as np
 
@@ -106,16 +106,16 @@ def gen_dyad_triad_scatter(
     n_components = _check_count("n_components", n_components)
     dyad_fraction = _check_prob("dyad_fraction", dyad_fraction)
     rng = derive_rng(seed, 0xD7)
-    width = max(1, len(str(max(n_components - 1, 0))))
-    edges: list[tuple[str, str]] = []
-    draws = rng.random(n_components)
-    for ci in range(n_components):
-        a, b, c = (f"g{ci:0{width}d}{tag}" for tag in "abc")
-        if draws[ci] < dyad_fraction:
-            edges.append((a, b))
-        else:
-            edges += [(a, b), (b, c), (a, c)]
-    return Graph(edges)
+    triad = rng.random(n_components) >= dyad_fraction
+    sizes = 2 + triad
+    ids = [f"{name}{tag}" for name, size in zip(_ids("g", n_components), sizes.tolist())
+           for tag in "abc"[:size]]
+    a = np.cumsum(sizes) - sizes  # index of each component's node "a"; "b", "c" follow
+    t = a[triad]
+    # a-b in every component, b-c and a-c in the triangles
+    u = np.concatenate([a, t + 1, t])
+    v = np.concatenate([a + 1, t + 2, t + 2])
+    return _from_indices(ids, u, v)
 
 
 def gen_multi_core_community(
@@ -148,45 +148,35 @@ _KIND_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class ArchetypeSpec:
-    """A generator kind plus its numeric parameters and seed."""
+def archetype(items: Mapping[str, str]) -> Callable[..., Graph]:
+    """The generator of one plain-text config section, its parameters bound.
 
-    kind: str
-    params: tuple[tuple[str, float | int], ...]
-    seed: int
-
-    @classmethod
-    def from_items(cls, items: Mapping[str, str], seed: int) -> "ArchetypeSpec":
-        """Build from key=value strings (one plain-text config section).
-
-        Expected keys: ``kind`` plus the kind's parameters; unknown keys
-        raise so typos cannot silently change a run.
-        """
-        if "kind" not in items:
-            raise ValueError("archetype section is missing 'kind'")
-        kind = items["kind"]
-        if kind not in _KIND_PARAMS:
+    Expected keys: ``kind`` plus the kind's parameters, each a count
+    (``int``, >= 0) or a probability (``float``, in [0, 1]); unknown keys
+    raise so typos cannot silently change a run. Call the result with
+    ``seed=`` to build a graph.
+    """
+    if "kind" not in items:
+        raise ValueError("archetype section is missing 'kind'")
+    kind = items["kind"]
+    if kind not in _KIND_PARAMS:
+        raise ValueError(
+            f"unknown archetype kind {kind!r}; expected one of "
+            f"{sorted(_KIND_PARAMS)}"
+        )
+    wanted = _KIND_PARAMS[kind]
+    params: dict[str, float | int] = {}
+    for name, typ in wanted.items():
+        if name not in items:
+            raise ValueError(f"archetype {kind!r} is missing parameter {name!r}")
+        try:
+            value = typ(items[name])
+        except ValueError:
             raise ValueError(
-                f"unknown archetype kind {kind!r}; expected one of "
-                f"{sorted(_KIND_PARAMS)}"
+                f"archetype {kind!r}: parameter {name!r} must be {typ.__name__}"
             )
-        wanted = _KIND_PARAMS[kind]
-        params: list[tuple[str, float | int]] = []
-        for name, typ in wanted.items():
-            if name not in items:
-                raise ValueError(f"archetype {kind!r} is missing parameter {name!r}")
-            try:
-                params.append((name, typ(items[name])))
-            except ValueError:
-                raise ValueError(
-                    f"archetype {kind!r}: parameter {name!r} must be {typ.__name__}"
-                )
-        extras = set(items) - {"kind", *wanted}
-        if extras:
-            raise ValueError(f"archetype {kind!r}: unknown parameters {sorted(extras)}")
-        return cls(kind=kind, params=tuple(params), seed=seed)
-
-    def build(self) -> Graph:
-        kwargs = dict(self.params)
-        return _KIND_FUNCS[self.kind](seed=self.seed, **kwargs)
+        params[name] = (_check_count if typ is int else _check_prob)(name, value)
+    extras = set(items) - {"kind", *wanted}
+    if extras:
+        raise ValueError(f"archetype {kind!r}: unknown parameters {sorted(extras)}")
+    return partial(_KIND_FUNCS[kind], **params)

@@ -652,3 +652,19 @@ def block_model_reference(blocks, pairs, rng) -> list[tuple[str, str]]:
         hit = rng.random(len(i)) < p
         edges += [(left[x], right[y]) for x, y in zip(i[hit].tolist(), j[hit].tolist())]
     return edges
+
+
+def scatter_reference(n_components: int, dyad_fraction: float, rng) -> list[tuple[str, str]]:
+    """The dyad/triad scatter as string pairs: one draw per component, a dyad
+    ``g<i>a -- g<i>b`` if below dyad_fraction, else the triangle on
+    ``g<i>a``, ``g<i>b``, ``g<i>c``; i zero-padded as in ``padded_ids``."""
+    width = max(1, len(str(max(n_components - 1, 0))))
+    edges: list[tuple[str, str]] = []
+    draws = rng.random(n_components)
+    for ci in range(n_components):
+        a, b, c = (f"g{ci:0{width}d}{tag}" for tag in "abc")
+        if draws[ci] < dyad_fraction:
+            edges.append((a, b))
+        else:
+            edges += [(a, b), (b, c), (a, c)]
+    return edges

@@ -739,8 +739,20 @@ BAD_CONFIGS = [
     ("count", ER_SECTION + "count = two\n",
      "section [er]: count must be an integer, got 'two'"),
     ("seed", ER_SECTION + "seed = 1.5\n", "section [er]: seed must be an integer, got '1.5'"),
-    ("interpolation", ER_SECTION.replace("0.3", "30%"), "section [er]: '%' must be followed"),
+    ("interpolation", ER_SECTION.replace("0.3", "30%"),
+     "section [er]: archetype 'erdos_renyi': parameter 'p' must be float"),
     ("not utf-8", ER_SECTION.encode() + b"count = \xff\n", "line 5: not valid UTF-8"),
+    # a bad second section: the first one's graphs are not written either
+    ("unknown kind", ER_SECTION + "[b]\nkind = nope\n",
+     "section [b]: unknown archetype kind 'nope'"),
+    ("probability", ER_SECTION + "[b]\nkind = erdos_renyi\nn = 6\np = 1.5\n",
+     "section [b]: p must be a probability in [0, 1], got 1.5"),
+    ("slash", ER_SECTION + ER_SECTION.replace("[er]", "[../../escaped]"),
+     "section [../../escaped]: a section name must not hold '/' or '\\'"),
+    ("backslash", ER_SECTION + ER_SECTION.replace("[er]", "[..\\escaped]"),
+     "section [..\\escaped]: a section name must not hold '/' or '\\'"),
+    ("empty category", ER_SECTION + ER_SECTION.replace("[er]", "[b]") + "category =\n",
+     "section [b]: category must not be empty"),
 ]
 
 
@@ -757,6 +769,15 @@ def test_bad_config_names_file_and_place(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert f"gen.ini: {message}" in err, err
     assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.edges"))
+
+
+def test_config_values_are_literal(tmp_path):
+    config = tmp_path / "gen.ini"
+    config.write_text(ER_SECTION + "category = 100% local\n")
+    assert main(["generate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+    entry = json.loads((tmp_path / "out" / "manifest.jsonl").read_text())
+    assert entry["category"] == "100% local"
 
 
 def test_invalid_seeds_json_names_file_line_and_column(tmp_path, capsys):
@@ -778,6 +799,25 @@ def test_bad_seeds_file_stops_embed_before_any_output(tmp_path, capsys):
     assert main(["embed", "--corpus", str(corpus), "--out-dir", str(out),
                  "--dim", "4", "--epochs", "1", "--seeds", str(seeds)]) == 2
     assert "seeds.json: line 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--seeds", b'{"bars": "PUB", "cafes": "CAFE"}',
+     "seeds.json: seed label 'PUB' for type 'bars' is not in the vocabulary"),
+    ("--allowlist", None, "No such file or directory"),  # read even without --seeds
+    ("--allowlist", b"COFFEE\n\xff\n", "allow.txt: line 2: not valid UTF-8"),
+], ids=["unknown seed label", "missing allowlist", "allowlist not utf-8"])
+def test_bad_embed_input_stops_before_any_output(tmp_path, capsys, flag, text, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"categories": ["CAFE", "COFFEE"]}) + "\n")
+    path = tmp_path / ("seeds.json" if flag == "--seeds" else "allow.txt")
+    if text is not None:
+        path.write_bytes(text)
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--dim", "4", "--epochs", "1", flag, str(path)]) == 2
+    assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -997,3 +1037,14 @@ def test_bad_input_table_names_file_and_line(tmp_path, capsys, table, case, text
     err = capsys.readouterr().err
     assert f"{table}: line {line}:" in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["similarity", "--features", "features.csv", "--manifest", "manifest.jsonl"], REPRESENT,
+], ids=["similarity", "represent"])
+def test_features_csv_without_feature_columns_names_file(tmp_path, capsys, argv):
+    assert run_in(tmp_path, argv, **{"features.csv": "graph_id\ng1\ng2\n"}) == 2
+    err = capsys.readouterr().err
+    assert (f"data error: {tmp_path / 'features.csv'}: line 1: "
+            "expected graph_id and feature names in the header") in err, err
+    assert list((tmp_path / "out").iterdir()) == []

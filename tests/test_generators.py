@@ -10,7 +10,7 @@ import brute
 import placenet.generators
 from placenet.features import avg_clustering, avg_path_length_lcc, compute_features
 from placenet.generators import (
-    ArchetypeSpec,
+    archetype,
     gen_core_periphery,
     gen_dyad_triad_scatter,
     gen_er,
@@ -107,35 +107,48 @@ def test_parameter_validation():
 def test_archetype_round_trip_and_build():
     items = {"kind": "core_periphery", "p_pp": "0.0", "p_cp": "0.0", "p_cc": "1.0",
              "n_periphery": "6", "n_core": "4"}
-    spec = ArchetypeSpec.from_items(items, seed=11)
+    recipe = archetype(items)
+    assert recipe.func is gen_core_periphery
     # the generator's signature order, whatever the order of the items
-    assert spec.params == (("n_core", 4), ("n_periphery", 6), ("p_cc", 1.0),
-                           ("p_cp", 0.0), ("p_pp", 0.0))
-    assert [type(value) for _, value in spec.params] == [int, int, float, float, float]
-    g = spec.build()
+    assert list(recipe.keywords.items()) == [("n_core", 4), ("n_periphery", 6),
+                                             ("p_cc", 1.0), ("p_cp", 0.0), ("p_pp", 0.0)]
+    assert [type(v) for v in recipe.keywords.values()] == [int, int, float, float, float]
+    g = recipe(seed=11)
     assert g == gen_core_periphery(4, 6, 1.0, 0.0, 0.0, seed=11)
-    rebuilt = ArchetypeSpec.from_items(dict(items), seed=11)
-    assert rebuilt.build() == g
+    rebuilt = archetype(dict(items))
+    assert rebuilt(seed=11) == g
 
 
 def test_archetype_validation_errors():
     with pytest.raises(ValueError, match="kind"):
-        ArchetypeSpec.from_items({"n": "5"}, seed=0)
+        archetype({"n": "5"})
     with pytest.raises(ValueError, match="unknown archetype"):
-        ArchetypeSpec.from_items({"kind": "mystery"}, seed=0)
+        archetype({"kind": "mystery"})
     with pytest.raises(ValueError, match="missing parameter"):
-        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5"}, seed=0)
+        archetype({"kind": "erdos_renyi", "n": "5"})
     with pytest.raises(ValueError, match="unknown parameters"):
-        ArchetypeSpec.from_items(
-            {"kind": "erdos_renyi", "n": "5", "p": "0.1", "zzz": "1"}, seed=0
-        )
+        archetype({"kind": "erdos_renyi", "n": "5", "p": "0.1", "zzz": "1"})
     with pytest.raises(ValueError, match="parameter 'n' must be int"):
-        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5.5", "p": "0.1"}, seed=0)
+        archetype({"kind": "erdos_renyi", "n": "5.5", "p": "0.1"})
     with pytest.raises(ValueError, match="parameter 'p' must be float"):
-        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5", "p": "x"}, seed=0)
+        archetype({"kind": "erdos_renyi", "n": "5", "p": "x"})
     with pytest.raises(ValueError, match="'seed'"):  # the seed is not a parameter
-        ArchetypeSpec.from_items({"kind": "erdos_renyi", "n": "5", "p": "0.1", "seed": "1"},
-                                 seed=0)
+        archetype({"kind": "erdos_renyi", "n": "5", "p": "0.1", "seed": "1"})
+    # ranges are checked when the section is read, not when a graph is built
+    with pytest.raises(ValueError, match=r"p must be a probability in \[0, 1\], got 1.5"):
+        archetype({"kind": "erdos_renyi", "n": "5", "p": "1.5"})
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        archetype({"kind": "erdos_renyi", "n": "-1", "p": "0.1"})
+    with pytest.raises(ValueError, match=r"dyad_fraction must be a probability .* got 2.0"):
+        archetype({"kind": "dyad_triad_scatter", "n_components": "3", "dyad_fraction": "2"})
+
+
+@pytest.mark.parametrize("dyad_fraction", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n_components", [0, 1, 2, 3, 8, 60, 1000])
+def test_scatter_matches_string_pair_reference(n_components, dyad_fraction):
+    for seed in range(5):
+        edges = brute.scatter_reference(n_components, dyad_fraction, derive_rng(seed, 0xD7))
+        assert gen_dyad_triad_scatter(n_components, dyad_fraction, seed=seed) == Graph(edges)
 
 
 def _tuple_sample(pairs, p, rng):
