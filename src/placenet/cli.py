@@ -196,6 +196,8 @@ def _read_config(path: Path) -> configparser.ConfigParser:
 
 def _cmd_generate(args, out_dir: Path):
     parser = _read_config(args.config)
+    if not parser.sections():
+        raise ValueError(f"{args.config}: no sections")
 
     def integer(key: str, text: str) -> int:
         try:
@@ -285,9 +287,12 @@ def _load_ensemble(
 
 def _cmd_similarity(args, out_dir: Path):
     ensemble, names, _ = _load_ensemble(args.features, args.manifest)
-    matrix, importance = auc_matrix(
-        ensemble, folds=args.folds, seed=args.seed, params=_forest_params(args)
-    )
+    try:
+        matrix, importance = auc_matrix(
+            ensemble, folds=args.folds, seed=args.seed, params=_forest_params(args)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}")
     write_auc_matrix_csv(matrix, str(out_dir / "auc_matrix.csv"))
     write_importance_csv(str(out_dir / "importance.csv"), importance, names)
     return ["auc_matrix.csv", "importance.csv"], {}

@@ -67,6 +67,10 @@ class _Tree:
 # padding then costs little, and a block's arrays stay small.
 _BLOCK_ROWS = 4096
 
+# The forest's stream draws feature-subset keys for this many nodes of
+# every tree at a time: chunk c keys nodes c*_KEY_ROWS to (c+1)*_KEY_ROWS - 1.
+_KEY_ROWS = 16
+
 
 @dataclass
 class Forest:
@@ -131,12 +135,19 @@ def _best_splits(rank, order, xs, ys, counts, tree_of, rows, n, c1, feats, min_l
 def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams()) -> Forest:
     """Bagged trees on bootstrap resamples; deterministic given the seed.
 
-    Tree t draws its bootstrap, then one feature subset per node it splits
-    in depth-first order (left child first), from ``derive_rng(seed, 31,
-    t)``. The trees grow in lockstep: each step takes the next node to
-    split from every tree and scores them together in ``_best_splits``
-    blocks over one presort of the training rows. That gives the same
-    forest as growing the trees one after another.
+    One stream, ``derive_rng(seed, 31)``, serves the whole forest. Its
+    first draw is every tree's bootstrap, an ``(n_trees, n)`` array of row
+    indices. Each later draw is a chunk of uniform keys of shape
+    ``(n_trees, _KEY_ROWS, d)``, drawn the first time a tree scores node
+    ``c * _KEY_ROWS`` for the c-th chunk. Node j of tree t is the j-th
+    node that tree scores, depth first with the left child first; its
+    feature subset is the first q columns of the argsort of key row
+    ``[t, j % _KEY_ROWS]`` of chunk ``j // _KEY_ROWS``. Each subset thus
+    depends only on the seed, t and j. The trees grow in lockstep: each
+    step takes the next node to split from every tree and scores them
+    together in ``_best_splits`` blocks over one presort of the training
+    rows. That gives the same forest as growing the trees one after
+    another.
 
     Raises:
         ValueError: if the dataset holds a single class or the
@@ -144,7 +155,8 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     """
     X, y = dataset.features, dataset.labels
     n, d = X.shape
-    if params.n_trees < 1:
+    n_trees = params.n_trees
+    if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     if params.min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
@@ -161,16 +173,19 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
     order = np.argsort(Xp, axis=1, kind="stable")
     rank, xs = np.argsort(order, axis=1), np.take_along_axis(Xp, order, axis=1)
     ys = np.append(y, 0.0)[order]
-    rngs = [derive_rng(params.seed, 31, t) for t in range(params.n_trees)]
-    boots = np.array([rng.integers(0, n, size=n) for rng in rngs])
-    counts = np.array([np.bincount(boot, minlength=n + 1) for boot in boots], dtype=float)
+    rng = derive_rng(params.seed, 31)
+    boots = rng.integers(0, n, size=(n_trees, n))
+    offsets = np.arange(n_trees)[:, None] * (n + 1)  # column n pads
+    counts = np.bincount((boots + offsets).ravel(), minlength=n_trees * (n + 1))
+    counts = counts.reshape(n_trees, n + 1).astype(float)
     # per tree: [feature, threshold, left, right, prob] per node, and a
     # depth-first stack of (distinct rows, size, positives, depth, node)
-    nodes = [[[-1, 0.0, -1, -1, 0.0]] for _ in rngs]
+    nodes = [[[-1, 0.0, -1, -1, 0.0]] for _ in range(n_trees)]
     stacks = [[(np.flatnonzero(c), n, c1, 0, 0)] for c, c1 in zip(counts, y[boots].sum(1).tolist())]
-    per_tree = np.zeros((params.n_trees, d))
-    growing = range(params.n_trees)
-    while growing:
+    per_tree = np.zeros((n_trees, d))
+    growing = range(n_trees)
+    step = 0  # every growing tree scores its step-th node in this step
+    while True:
         batch = []
         for t in growing:
             stack = stacks[t]
@@ -179,23 +194,33 @@ def train_random_forest(dataset: Dataset, params: ForestParams = ForestParams())
                 if c1 == 0 or c1 == m or depth >= max_depth or m < 2 * params.min_leaf:
                     nodes[t][slot][4] = c1 / m
                     continue
-                batch.append((t, rows, m, c1, depth, slot, rngs[t].choice(d, q, replace=False)))
+                batch.append((t, rows, m, c1, depth, slot))
                 break
+        if not batch:
+            break
         growing = [b[0] for b in batch]
-        batch.sort(key=lambda b: -len(b[1]))
-        while batch:
-            width = len(batch[0][1])
-            cut = max(1, _BLOCK_ROWS // width)
-            chunk, batch = batch[:cut], batch[cut:]
+        if step % _KEY_ROWS == 0:
+            keys = rng.random((n_trees, _KEY_ROWS, d))
+        subsets = np.argsort(keys[growing, step % _KEY_ROWS], axis=1, kind="stable")
+        step += 1
+        by_size = sorted(range(len(batch)), key=lambda k: -len(batch[k][1]))
+        batch = [batch[k] for k in by_size]
+        subsets = np.sort(subsets[by_size, :q], axis=1)
+        start = 0
+        while start < len(batch):
+            width = len(batch[start][1])
+            chunk = batch[start : start + max(1, _BLOCK_ROWS // width)]
+            owners, rows, sizes, positives, _, _ = zip(*chunk)
             block = np.full((len(chunk), width), n)
-            for k, b in enumerate(chunk):
-                block[k, : len(b[1])] = b[1]
-            owners, _, sizes, positives, _, _, feats = zip(*chunk)
+            filled = np.arange(width) < np.array([len(r) for r in rows])[:, None]
+            block[filled] = np.concatenate(rows)
             splits = _best_splits(
                 rank, order, xs, ys, counts, np.array(owners), block, np.array(sizes, dtype=float),
-                np.array(positives, dtype=float), np.sort(feats, axis=1), params.min_leaf,
+                np.array(positives, dtype=float), subsets[start : start + len(chunk)],
+                params.min_leaf,
             )
-            for (t, _, m, c1, depth, slot, _), split in zip(chunk, splits):
+            start += len(chunk)
+            for (t, _, m, c1, depth, slot), split in zip(chunk, splits):
                 tree = nodes[t]
                 if split is None:
                     tree[slot][4] = c1 / m

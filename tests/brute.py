@@ -7,6 +7,7 @@ path with the functions it checks.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -498,15 +499,16 @@ def best_split_reference(Xn, yn, feats, min_leaf: int):
     return float(gain), feat, thr, left_mask
 
 
-def grow_tree_reference(X, y, rng, params, q: int, importance: np.ndarray):
+def grow_tree_reference(X, y, keys, params, q: int, importance: np.ndarray):
     """One tree grown depth first, one node at a time (left child first).
 
-    Returns the flat ``(feature, threshold, left, right, prob)`` lists;
-    ``feature == -1`` marks a leaf. Adds each split's weighted gain to
-    ``importance``.
+    ``keys(j)`` is the row of uniform keys of the j-th node the tree
+    scores; the node's feature subset is the first q columns of its
+    argsort. Returns the flat ``(feature, threshold, left, right, prob)``
+    lists; ``feature == -1`` marks a leaf. Adds each split's weighted gain
+    to ``importance``.
     """
     n_root = len(y)
-    d = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -521,6 +523,7 @@ def grow_tree_reference(X, y, rng, params, q: int, importance: np.ndarray):
         prob.append(0.0)
         return len(feature) - 1
 
+    scored = 0
     stack = [(np.arange(n_root), 0, alloc())]
     while stack:
         idx, depth, slot = stack.pop()
@@ -531,7 +534,8 @@ def grow_tree_reference(X, y, rng, params, q: int, importance: np.ndarray):
         if c1 == 0 or c1 == n or depth_hit or n < 2 * params.min_leaf:
             prob[slot] = c1 / n
             continue
-        feats = np.sort(rng.choice(d, size=q, replace=False))
+        feats = np.sort(np.argsort(keys(scored), kind="stable")[:q])
+        scored += 1
         found = best_split_reference(X[idx], yn, feats, params.min_leaf)
         if found is None:
             prob[slot] = c1 / n
@@ -549,22 +553,32 @@ def grow_tree_reference(X, y, rng, params, q: int, importance: np.ndarray):
     return feature, threshold, left, right, prob
 
 
-def forest_reference(X, y, params, derive_rng) -> tuple[list[tuple], np.ndarray]:
+def forest_reference(X, y, params, derive_rng, key_rows) -> tuple[list[tuple], np.ndarray]:
     """Trees grown one after another on bootstrap resamples, and the
     forest's normalized mean importances.
 
-    ``derive_rng`` is the library's stream derivation, so that both sides
-    draw the same bootstraps and feature subsets.
+    ``derive_rng`` is the library's stream derivation. One stream per
+    forest draws every tree's bootstrap at once, then chunks of
+    ``(n_trees, key_rows, d)`` uniform keys in order, each the first time
+    some tree scores a node that the chunks drawn so far do not cover.
     """
     n, d = X.shape
     q = params.features_per_split or math.ceil(math.sqrt(d))
+    rng = derive_rng(params.seed, 31)
+    boots = rng.integers(0, n, size=(params.n_trees, n))
+    chunks = []
+
+    def key_row(t, j):
+        while len(chunks) * key_rows <= j:
+            chunks.append(rng.random((params.n_trees, key_rows, d)))
+        return chunks[j // key_rows][t, j % key_rows]
+
     trees = []
     per_tree = np.zeros((params.n_trees, d))
-    for t in range(params.n_trees):
-        rng = derive_rng(params.seed, 31, t)
-        boot = rng.integers(0, n, size=n)
+    for t, boot in enumerate(boots):
         raw = np.zeros(d)
-        trees.append(grow_tree_reference(X[boot], y[boot], rng, params, q, raw))
+        keys = functools.partial(key_row, t)
+        trees.append(grow_tree_reference(X[boot], y[boot], keys, params, q, raw))
         total = raw.sum()
         if total > 0:
             per_tree[t] = raw / total

@@ -182,14 +182,15 @@ count = 12
 """
 
 # SHA-256 of the similarity and represent outputs on the 36 graphs of
-# `generate --seed 3` on SIM_PIN_CONFIG, recorded with the tree-by-tree
-# forest that preceded lockstep growth. er_a and er_b are a null pair, so
-# their forests grow deep trees.
+# `generate --seed 3` on SIM_PIN_CONFIG, recorded with one stream per
+# forest: every tree's bootstrap in its first draw, then feature-subset keys
+# in chunks of (trees, _KEY_ROWS = 16 nodes, features). er_a and er_b are a
+# null pair, so their forests grow deep trees.
 SIM_PINNED_DIGESTS = {
-    "sim/auc_matrix.csv": "0bf0e6d2f944aad0796fedfdd0ab8a32d38b07d72b4d978d2b302c0e78d93a34",
-    "sim/importance.csv": "cfd22bfb46bb90e152f6d273e03004a2687f6401676eef1f49c4f70464890ecd",
-    "rep/representatives.csv": "d2ed1643b1484e7275cf7c283fd3d28adf85aed79efb65e51ebc48eb579520e6",
-    "rep/representatives/": ["cp__cp_004.edges", "er_a__er_a_009.edges", "er_b__er_b_006.edges"],
+    "sim/auc_matrix.csv": "c58f3408158e9babc7a26bea0a10014a0fe10b01f8210d027ed2aeae63a99efc",
+    "sim/importance.csv": "5fb4a427e8a5650dc4293200009156d66f3b8d80767768018e0cb68390afdb77",
+    "rep/representatives.csv": "0f06b6ca47006b9977552c849c93218b0f6477082023282ffc5f88cdfc058e72",
+    "rep/representatives/": ["cp__cp_007.edges", "er_a__er_a_009.edges", "er_b__er_b_001.edges"],
 }
 
 
@@ -705,6 +706,33 @@ def test_undersized_similarity_category_is_data_error(tmp_path, capsys):
     assert "needs >= 10" in capsys.readouterr().err
 
 
+def relabelled_manifest(root, categories):
+    """The manifest of ``run_pipeline(root)`` with the i-th graph put in
+    ``categories[i]``."""
+    entries = [json.loads(line) for line in
+               (root / "gen" / "manifest.jsonl").read_text().splitlines()]
+    path = root / "gen" / "relabelled.jsonl"
+    path.write_text("".join(json.dumps({**entry, "category": category}) + "\n"
+                            for entry, category in zip(entries, categories)))
+    return path
+
+
+@pytest.mark.parametrize("categories, folds, message", [
+    (["one"] * 15, "2", "auc_matrix requires at least 2 categories"),
+    (["rest"] * 2 + ["other"] * 13, "3", "category 'rest' has 2 graphs; needs >= 3"),
+], ids=["one category", "category below fold count"])
+def test_refused_similarity_table_names_features_file(tmp_path, capsys, categories, folds,
+                                                      message):
+    run_pipeline(tmp_path)
+    features = tmp_path / "feat" / "features.csv"
+    out = tmp_path / "sim2"
+    assert main(["similarity", "--features", str(features),
+                 "--manifest", str(relabelled_manifest(tmp_path, categories)),
+                 "--out-dir", str(out), "--folds", folds, "--n-trees", "2"]) == 2
+    assert f"data error: {features}: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_similarity_on_non_finite_features_is_data_error(tmp_path, capsys):
     run_pipeline(tmp_path)
     features = tmp_path / "feat" / "features.csv"
@@ -753,6 +781,8 @@ BAD_CONFIGS = [
      "section [..\\escaped]: a section name must not hold '/' or '\\'"),
     ("empty category", ER_SECTION + ER_SECTION.replace("[er]", "[b]") + "category =\n",
      "section [b]: category must not be empty"),
+    ("empty file", "", "no sections"),
+    ("only DEFAULT", ER_SECTION.replace("[er]", "[DEFAULT]") + "count = 2\n", "no sections"),
 ]
 
 
@@ -770,6 +800,7 @@ def test_bad_config_names_file_and_place(tmp_path, capsys, text, message):
     assert f"gen.ini: {message}" in err, err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.edges"))
+    assert not list(tmp_path.rglob("manifest.jsonl"))
 
 
 def test_config_values_are_literal(tmp_path):

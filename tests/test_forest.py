@@ -153,7 +153,7 @@ def random_training_set(rng):
 
 def assert_forest_equals_reference(X, y, params):
     model = train_random_forest(Dataset(X, y), params)
-    trees, importances = brute.forest_reference(X, y, params, derive_rng)
+    trees, importances = brute.forest_reference(X, y, params, derive_rng, forest._KEY_ROWS)
     assert len(model.trees) == len(trees)
     for tree, ref in zip(model.trees, trees):
         for name, expected in zip(("feature", "threshold", "left", "right", "prob"), ref):
@@ -187,6 +187,49 @@ def test_lockstep_forest_equals_reference_in_split_blocks(monkeypatch, block_row
     for case in range(40):
         X, y = random_training_set(rng)
         assert_forest_equals_reference(X, y, random_params(rng, case, X.shape[1]))
+
+
+def test_tree_crossing_key_chunks_equals_reference():
+    # random labels: the trees split until their leaves are pure
+    rng = derive_rng(74)
+    X = rng.normal(size=(200, 6))
+    y = (rng.random(200) < 0.5).astype(np.int8)
+    params = ForestParams(n_trees=4, seed=9)
+    model = train_random_forest(Dataset(X, y), params)
+    splits = max(int((tree.feature >= 0).sum()) for tree in model.trees)
+    assert splits > 2 * forest._KEY_ROWS  # scored nodes >= splits: three chunks
+    assert_forest_equals_reference(X, y, params)
+
+
+@pytest.mark.parametrize("d, q", [(9, 3), (5, 1), (6, 5)])
+def test_each_feature_enters_subsets_at_rate_q_over_d(d, q):
+    # only column f separates the classes, so a root splits iff f is in its subset
+    n_trees = 1000
+    y = np.array([0, 1] * 20)
+    p = q / d
+    tolerance = 4.5 * np.sqrt(n_trees * p * (1 - p))
+    for f in range(d):
+        X = np.zeros((len(y), d))
+        X[:, f] = y
+        model = train_random_forest(
+            Dataset(X, y), ForestParams(n_trees=n_trees, max_depth=1, features_per_split=q,
+                                        seed=100 * d + f))
+        hits = sum(int(tree.feature[0] == f) for tree in model.trees)
+        assert abs(hits - n_trees * p) <= tolerance, (f, hits)
+
+
+@pytest.mark.parametrize("n_trees", [1, 25, 100])
+def test_one_stream_per_forest(monkeypatch, n_trees):
+    calls = []
+
+    def counting(*keys):
+        calls.append(keys)
+        return derive_rng(*keys)
+
+    monkeypatch.setattr(forest, "derive_rng", counting)
+    ds = separable_dataset(seed=n_trees)
+    train_random_forest(ds, ForestParams(n_trees=n_trees, seed=5))
+    assert calls == [(5, 31)]
 
 
 def test_batch_prediction_equals_per_row_tree_walk():
