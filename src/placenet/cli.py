@@ -209,8 +209,8 @@ def _cmd_generate(args, out_dir: Path):
     for section_index, section in enumerate(parser.sections()):
         items = dict(parser.items(section))
         try:
-            if "/" in section or "\\" in section:
-                raise ValueError("a section name must not hold '/' or '\\'")
+            if set(section) & {"/", "\\", "\0"}:
+                raise ValueError("a section name must not hold '/', '\\' or NUL")
             count = integer("count", items.pop("count", "1"))
             if count < 1:
                 raise ValueError("count must be >= 1")
@@ -346,15 +346,18 @@ def _cmd_embed(args, out_dir: Path):
         # read_text ends each line with "\n"; splitlines() would also split at "\x0c"
         lines = (line.strip() for line in read_text(args.allowlist).split("\n"))
         allow = {line for line in lines if line and not line.startswith("#")}
-    model = train_skipgram(
-        records,
-        dim=args.dim,
-        epochs=args.epochs,
-        negatives=args.negatives,
-        learning_rate=args.learning_rate,
-        min_count=args.min_count,
-        seed=args.seed,
-    )
+    try:
+        model = train_skipgram(
+            records,
+            dim=args.dim,
+            epochs=args.epochs,
+            negatives=args.negatives,
+            learning_rate=args.learning_rate,
+            min_count=args.min_count,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}")
     for place_type, seed_label in sorted(seeds_map.items()):  # checked before any write
         if seed_label not in model:
             raise ValueError(
@@ -390,21 +393,21 @@ def _cmd_prevalence(args, out_dir: Path):
                          f"{stray.region_id!r}, which {args.regions} does not list")
     counts = fractional_counts(records)
     table = per_capita(counts, regions)
-    write_prevalence_csv(str(out_dir / "prevalence.csv"), table)
     medians = {key: bin_medians(table, regions, key) for key in BIN_KEYS}
+    results = {}  # every correlation is taken before the first write
+    for cat in sorted({cat for _, cat in table} & set(external or {})):
+        # Zero-count regions stay in the map so the log transform drops
+        # them visibly (reported in n_dropped) instead of silently.
+        page_mass = {region: table[region, cat].weighted_count for region in regions}
+        try:
+            results[cat] = log_pearson(page_mass, external[cat])
+        except ValueError as exc:
+            raise ValueError(f"{args.external}: category {cat!r}: {exc}")
+    write_prevalence_csv(str(out_dir / "prevalence.csv"), table)
     write_bin_medians_csv(str(out_dir / "bin_medians.csv"), medians)
     written = ["prevalence.csv", "bin_medians.csv"]
     if external is None:
         return written, {}
-
-    # Zero-count regions stay in the map so the log transform drops
-    # them visibly (reported in n_dropped) instead of silently.
-    by_category: dict[str, dict[str, float]] = {}
-    for (region, cat), entry in table.items():
-        by_category.setdefault(cat, {})[region] = entry.weighted_count
-    results = {}
-    for cat in sorted(set(by_category) & set(external)):
-        results[cat] = log_pearson(by_category[cat], external[cat])
     write_correlation_csv(str(out_dir / "correlation.csv"), results)
     return written + ["correlation.csv"], {}
 
@@ -500,10 +503,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except KeyError as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"data error: {message}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

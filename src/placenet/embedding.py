@@ -203,10 +203,10 @@ def nearest_categories(
     break lexicographically.
 
     Raises:
-        KeyError: if the seed label is not in the vocabulary.
+        ValueError: if the seed label is not in the vocabulary.
     """
     if seed_label not in model:
-        raise KeyError(seed_label)
+        raise ValueError(seed_label)
     query = model.vector(seed_label)
     norms = np.linalg.norm(model.vectors, axis=1)
     qn = np.linalg.norm(query)

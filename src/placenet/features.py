@@ -135,22 +135,21 @@ def avg_clustering(g: Graph) -> float:
 def degree_assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over both edge orientations.
 
-    Returns 0 by convention when the graph has no edges or all endpoint
-    degrees are equal (zero marginal variance).
+    Newman's form (PRL 2002) in exact integer sums, rounded once: over the
+    M = 2m orientations, r = (M sum xy - (sum x)^2) / (M sum x^2 - (sum x)^2)
+    with sum x = sum d^2, sum x^2 = sum d^3 and sum xy = sum of d_u times the
+    degree sum of u's neighbours. Products and totals are Python ints, so r
+    lies in [-1, 1] and does not depend on the node order. A zero
+    denominator (no edges, or all endpoint degrees equal) gives 0.
     """
-    if g.edge_count() == 0:
-        return 0.0
-    deg = np.diff(g.indptr).astype(float)
-    if len(np.unique(deg[deg > 0])) <= 1:
-        return 0.0
-    u, v = g.edge_indices()
-    # both orientations of each edge, interleaved in edges() order
-    x = np.stack([deg[u], deg[v]], axis=1).ravel()
-    y = np.stack([deg[v], deg[u]], axis=1).ravel()
-    dx = x - x.mean()
-    dy = y - y.mean()
-    r = float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
-    return min(1.0, max(-1.0, r))
+    deg = np.diff(g.indptr).astype(np.int64)
+    ends = np.concatenate(([0], np.cumsum(deg[g.indices])))  # prefix sums by row
+    d, nbr = deg.tolist(), (ends[g.indptr[1:]] - ends[g.indptr[:-1]]).tolist()
+    orientations = len(g.indices)
+    sx = sum(k * k for k in d)
+    den = orientations * sum(k * k * k for k in d) - sx * sx
+    num = orientations * sum(k * s for k, s in zip(d, nbr)) - sx * sx
+    return num / den if den else 0.0
 
 
 def avg_path_length_lcc(
@@ -510,7 +509,8 @@ def compute_features(
     subgraph, ``"nodes"`` counts its nodes. ``lambda2_scope`` selects
     whether algebraic connectivity is taken on the largest component
     (default) or the whole graph (0 when disconnected). Degree variance is
-    the population variance of the degree sequence.
+    (n sum d^2 - (2m)^2) / n^2 in exact integers, rounded once, so like
+    degree assortativity it does not depend on the node order.
     """
     if count_mode not in ("components", "nodes"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
@@ -521,15 +521,15 @@ def compute_features(
     if n == 0:
         zeros = tuple(0 for _ in k_set)
         return FeatureVector(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, zeros, zeros)
-    degrees = np.diff(g.indptr)
+    degrees = np.diff(g.indptr).tolist()
     density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
     avg_degree = 2.0 * m / n
-    degree_variance = float(degrees.astype(float).var())  # population variance
+    degree_variance = (n * sum(k * k for k in degrees) - 4 * m * m) / (n * n)
 
     modularity = max_modularity_cnm(g)[0] if m >= 1 else 0.0
     # one support pass for clustering and the brace peel
     edges, adj, support = _edge_supports(g)
-    clustering = _clustering(degrees.tolist(), edges, support)
+    clustering = _clustering(degrees, edges, support)
     kcore = _level_counts(n, edges, _core_edge_levels(g, edges), k_set, count_mode)
     kbrace = _level_counts(n, edges, _brace_numbers(edges, adj, support), k_set, count_mode)
 

@@ -218,12 +218,12 @@ def bfs_distances(g: Graph, source: str) -> dict[str, int]:
     """Exact hop counts from *source*; unreachable nodes are absent.
 
     Raises:
-        KeyError: if *source* is not a node of the graph.
+        ValueError: if *source* is not a node of the graph.
     """
     names = g.nodes()
     start = bisect_left(names, source)
     if start == len(names) or names[start] != source:
-        raise KeyError(source)
+        raise ValueError(source)
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     dist = {start: 0}
     queue = deque([start])

@@ -103,12 +103,12 @@ def per_capita(
     at 0 when it has no pages.
 
     Raises:
-        KeyError: naming the region id, if a counted region is missing
+        ValueError: naming the region id, if a counted region is missing
             from the region table.
     """
     for region, _ in counts:
         if region not in regions:
-            raise KeyError(f"region {region!r} missing from region table")
+            raise ValueError(f"region {region!r} missing from region table")
     categories = sorted({cat for _, cat in counts})
     populations = [(region, info.population) for region, info in regions.items()]
     table: dict[tuple[str, str], PrevalenceEntry] = {}

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import placenet.cli
 import placenet.features
 from placenet.cli import main
 from placenet.features import read_features_csv
@@ -123,6 +124,8 @@ count = 2
 # lambda2. The club graphs (150 nodes) take that iterative path, the others
 # the dense one. Moving from the hand-written Lanczos loop to eigsh changed
 # only their algebraic_connectivity cells, by at most 7.2e-16 relative.
+# Re-recorded with degree variance and assortativity from exact integer
+# sums: only those two columns moved.
 PINNED_DIGESTS = {
     "graphs/club_000.edges": "bd57e732f5f8a329d032ed5e921f502a3e8253ca70c357483c224916079db986",
     "graphs/club_001.edges": "fd92c4da70ff55ae090f779fb6ef698f5c275542c389ff567137b23884933c15",
@@ -133,8 +136,8 @@ PINNED_DIGESTS = {
     "graphs/scatter_000.edges": "47f6f21a8a9b7c212f3776bbc9d1814432ad28153e7c6d674f01f748fd9f1375",
     "graphs/scatter_001.edges": "1784aa4038a7aee0b8b19fe20da45be5406a4720a4ffae7ccd890d6390a23e54",
     "manifest.jsonl": "f60d839c8e032e2a8cfd4664da680a6e8cb52fa2a4b8a5d34f2889647bafaf09",
-    "components/features.csv": "37a15f78a66f12e6f3b256e1dcb57965dae10e86fabe79c471e0f0caea85fe6b",
-    "nodes/features.csv": "920df6b3fcf7ce10bb0e1c876dbebabb42e99546f78dc2d7741b7003702038fa",
+    "components/features.csv": "40eced2dbae6a478a225135f779719acec9166135baee2592b1ec6cb2cfcefa3",
+    "nodes/features.csv": "72b7326d0620cc17b2a8ed1f4cbf1bf5b945635863bf29583364a9fbacb68cc7",
 }
 
 
@@ -185,11 +188,13 @@ count = 12
 # `generate --seed 3` on SIM_PIN_CONFIG, recorded with one stream per
 # forest: every tree's bootstrap in its first draw, then feature-subset keys
 # in chunks of (trees, _KEY_ROWS = 16 nodes, features). er_a and er_b are a
-# null pair, so their forests grow deep trees.
+# null pair, so their forests grow deep trees. representatives.csv was
+# re-recorded with degree variance and assortativity from exact integer
+# sums: the distances moved, the chosen graphs did not.
 SIM_PINNED_DIGESTS = {
     "sim/auc_matrix.csv": "c58f3408158e9babc7a26bea0a10014a0fe10b01f8210d027ed2aeae63a99efc",
     "sim/importance.csv": "5fb4a427e8a5650dc4293200009156d66f3b8d80767768018e0cb68390afdb77",
-    "rep/representatives.csv": "0f06b6ca47006b9977552c849c93218b0f6477082023282ffc5f88cdfc058e72",
+    "rep/representatives.csv": "d96dba4bfb9791b1258e6eb7d981ca344774104393391e0f6b47d5d3acfc5f41",
     "rep/representatives/": ["cp__cp_007.edges", "er_a__er_a_009.edges", "er_b__er_b_001.edges"],
 }
 
@@ -527,6 +532,17 @@ def test_edge_file_id_starting_with_hash_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+def test_stray_key_error_is_not_a_data_error(tmp_path, monkeypatch):
+    # a lookup bug propagates instead of reading as bad input (exit 2)
+    def lookup_bug(*args, **kwargs):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(placenet.cli, "compute_features", lookup_bug)
+    manifest = write_path_manifest(tmp_path, 3)
+    with pytest.raises(KeyError, match="stray"):
+        main(["features", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+
+
 def write_path_manifest(root, n):
     (root / "p.edges").write_text(
         "\n".join(f"n{i:03d} n{i + 1:03d}" for i in range(n - 1)) + "\n"
@@ -776,9 +792,9 @@ BAD_CONFIGS = [
     ("probability", ER_SECTION + "[b]\nkind = erdos_renyi\nn = 6\np = 1.5\n",
      "section [b]: p must be a probability in [0, 1], got 1.5"),
     ("slash", ER_SECTION + ER_SECTION.replace("[er]", "[../../escaped]"),
-     "section [../../escaped]: a section name must not hold '/' or '\\'"),
+     "section [../../escaped]: a section name must not hold '/', '\\' or NUL"),
     ("backslash", ER_SECTION + ER_SECTION.replace("[er]", "[..\\escaped]"),
-     "section [..\\escaped]: a section name must not hold '/' or '\\'"),
+     "section [..\\escaped]: a section name must not hold '/', '\\' or NUL"),
     ("empty category", ER_SECTION + ER_SECTION.replace("[er]", "[b]") + "category =\n",
      "section [b]: category must not be empty"),
     ("empty file", "", "no sections"),
@@ -809,6 +825,17 @@ def test_config_values_are_literal(tmp_path):
     assert main(["generate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
     entry = json.loads((tmp_path / "out" / "manifest.jsonl").read_text())
     assert entry["category"] == "100% local"
+
+
+def test_nul_in_section_name_stops_generate_before_any_write(tmp_path, capsys):
+    config = tmp_path / "gen.ini"
+    config.write_text(ER_SECTION.replace("[er]", "[a]") + ER_SECTION.replace("[er]", "[b\0c]"))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {config}: section [b\0c]: a section name must not hold" in err, err
+    assert not (out / "graphs").exists()
+    assert not (out / "manifest.jsonl").exists()
 
 
 def test_invalid_seeds_json_names_file_line_and_column(tmp_path, capsys):
@@ -856,6 +883,24 @@ def test_bad_external_table_stops_prevalence_before_any_output(tmp_path, capsys)
     assert run_in(tmp_path, PREVALENCE,
                   **{"external.csv": "region_id,category,count\nr1,cafe,nan\n"}) == 2
     assert "external.csv: line 2:" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_uncorrelatable_external_category_stops_prevalence_before_any_output(tmp_path,
+                                                                            capsys):
+    # cafe has one region with positive counts on both sides: no correlation
+    assert run_in(tmp_path, PREVALENCE,
+                  **{"external.csv": "region_id,category,count\nr1,cafe,3\n"}) == 2
+    err = capsys.readouterr().err
+    assert (f"data error: {tmp_path / 'external.csv'}: category 'cafe': "
+            "log_pearson needs >= 2 positive pairs, got 1") in err, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_empty_corpus_names_corpus_file(tmp_path, capsys):
+    assert run_in(tmp_path, COMMAND_OF["corpus.jsonl"], **{"corpus.jsonl": ""}) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'corpus.jsonl'}: corpus is empty" in err, err
     assert list((tmp_path / "out").iterdir()) == []
 
 

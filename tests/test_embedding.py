@@ -172,7 +172,7 @@ def test_neighbors_truncation():
 
 def test_unknown_seed_label():
     model = small_model()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         nearest_categories(model, "NOT_A_LABEL")
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +101,38 @@ def test_star_counts():
     assert fv.degree_variance == 0.75
     stats = brute.degree_stats(star(3))
     assert stats["degree_variance"] == 0.75
+
+
+def test_degree_variance_is_exact():
+    rng = derive_rng(31)
+    graphs = [Graph([], nodes=["a"]), Graph([("a", "b")], nodes=["c", "d"])]
+    graphs += [random_graph(rng, max_n=40) for _ in range(60)]
+    assert any(0 in brute.degrees(g).values() for g in graphs[2:])  # isolated nodes
+    for g in graphs:
+        d = list(brute.degrees(g).values())
+        n = len(d)
+        exact = Fraction(n * sum(k * k for k in d) - sum(d) ** 2, n * n)
+        assert compute_features(g).degree_variance == float(exact)
+
+
+def renamed(g, seed):
+    """``g`` with its node ids shuffled: the same graph in another node order."""
+    names = list(g.nodes())
+    perm = [names[i] for i in derive_rng(seed).permutation(len(names)).tolist()]
+    new = dict(zip(names, perm))
+    return Graph([(new[u], new[v]) for u, v in brute.edge_list(g)], nodes=perm)
+
+
+def test_degree_moments_do_not_depend_on_node_order():
+    for seed in range(5):
+        for g in (gen_er(60, 0.08, seed=seed),
+                  gen_core_periphery(8, 40, 0.7, 0.15, 0.03, seed=seed),
+                  gen_multi_core_community(3, 12, 0.5, 0.05, seed=seed),
+                  gen_dyad_triad_scatter(30, 0.5, seed=seed)):
+            h = renamed(g, seed)
+            assert h != g  # same ids, other adjacency
+            assert degree_assortativity(h) == degree_assortativity(g)
+            assert compute_features(h).degree_variance == compute_features(g).degree_variance
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +744,7 @@ def test_clustering_and_assortativity_match_networkx(name):
     assert avg_clustering(g) == nx.average_clustering(h)
     assert len(set(np.diff(g.indptr).tolist())) > 1  # not regular
     r = degree_assortativity(g)
-    assert r == pytest.approx(brute.assortativity_exact(g), rel=1e-14, abs=0)
+    assert r == brute.assortativity_exact(g)
     # networkx's own rounding error reaches 1.1e-14 on the multi_core graph,
     # where r is 0.008: more than 1e-12 of r
     assert r == pytest.approx(nx.degree_assortativity_coefficient(h), rel=1e-12, abs=1e-13)

@@ -187,12 +187,12 @@ def test_bfs_excludes_unreachable():
 
 
 def test_bfs_unknown_source():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         bfs_distances(Graph([("a", "b")]), "zzz")
     for absent in ("", "0", "a0", "b", "zzz"):  # before, between and after the ids
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             bfs_distances(Graph([("a", "c")], nodes=["aa"]), absent)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         bfs_distances(Graph(), "a")
 
 

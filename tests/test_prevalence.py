@@ -112,7 +112,7 @@ def test_per_capita_one_page_per_thousand():
 
 def test_per_capita_missing_region_error_names_it():
     counts = fractional_counts([PlaceRecord("p", "ghost", ("bar",))])
-    with pytest.raises(KeyError, match="ghost"):
+    with pytest.raises(ValueError, match="ghost"):
         per_capita(counts, {"r": region()})
 
 
