@@ -55,7 +55,7 @@ def load_corpus_jsonl(path: str) -> list[tuple[str, ...]]:
             )
         return uniq
 
-    return read_jsonl(path, record)
+    return [rec for _, rec in read_jsonl(path, record)]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -206,7 +206,7 @@ def nearest_categories(
         ValueError: if the seed label is not in the vocabulary.
     """
     if seed_label not in model:
-        raise ValueError(seed_label)
+        raise ValueError(f"seed label {seed_label!r} is not in the vocabulary")
     query = model.vector(seed_label)
     norms = np.linalg.norm(model.vectors, axis=1)
     qn = np.linalg.norm(query)

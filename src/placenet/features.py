@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,10 +26,11 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from placenet.graph import (  # noqa: F401
     Graph,
     _from_indices,
+    _join,
+    _keep_lcc,
     bfs_distances,
     connected_components,
     largest_connected_component,
-    union,
 )
 from placenet.seeding import derive_rng
 from placenet.tables import number, read_csv, unique, write_csv
@@ -47,6 +48,9 @@ _DENSE_MAX = 128
 
 # ARPACK's ncv for lambda2: Lanczos vectors kept between implicit restarts.
 _KRYLOV_MAX = 20
+
+# Wedges checked for triangles at a time: under 1 MB of index arrays.
+_WEDGE_BLOCK = 1 << 12
 
 class ConvergenceError(ArithmeticError):
     """Eigensolver failed or exhausted its budget; carries the residual."""
@@ -96,23 +100,9 @@ class FeatureVector:
 _FIELD_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
-def _edge_supports(g: Graph) -> tuple[list[tuple[int, int]], list[set[int]], list[int]]:
-    """The edges ``(u, v)``, u < v, in ``edges()`` order, each node's
-    neighbour set and each edge's support ``|N(u) & N(v)|``, all by node
-    index."""
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    adj = [set(indices[indptr[i]:indptr[i + 1]]) for i in range(g.node_count())]
-    u, v = g.edge_indices()
-    edges = list(zip(u.tolist(), v.tolist()))
-    return edges, adj, [len(adj[a] & adj[b]) for a, b in edges]
-
-
-def _clustering(degrees: list[int], edges: list[tuple[int, int]], support: list[int]) -> float:
-    # links(u), the sum of u's edge supports, counts each triangle at u twice
-    links = [0] * len(degrees)
-    for (u, v), s in zip(edges, support):
-        links[u] += s
-        links[v] += s
+def _clustering(degrees: list[int], links: list[int]) -> float:
+    # links(u), the sum of u's edge supports, counts each triangle at u
+    # twice; the terms are added in node order
     total = 0.0
     for d, link in zip(degrees, links):
         if d >= 2:
@@ -124,12 +114,11 @@ def avg_clustering(g: Graph) -> float:
     """Mean local clustering coefficient over all nodes.
 
     Nodes with degree < 2 contribute 0; the empty graph maps to 0. Each
-    node's triangles come from the supports of its edges.
+    node's triangles come from ``decompose``'s link counts.
     """
     if g.node_count() == 0:
         return 0.0
-    edges, _, support = _edge_supports(g)
-    return _clustering(np.diff(g.indptr).tolist(), edges, support)
+    return _clustering(np.diff(g.indptr).tolist(), _structure(g)[0])
 
 
 def degree_assortativity(g: Graph) -> float:
@@ -380,102 +369,145 @@ def _check_k(k_set: Iterable[int]) -> None:
         raise ValueError("k must be >= 1")
 
 
-def _peel(keys: list[int], lowered: Callable[[int], Iterable[int]]) -> list[int]:
-    """Level of every item in a bucket peel.
+def _structure(g: Graph) -> tuple[list[int], dict, dict]:
+    if g._structure is None:
+        decompose([g])
+    return g._structure
 
-    At each level k, from 0 up, items whose key is at most k are removed
-    and get level k; ``lowered(i)`` names the items whose key drops by one
-    when item i goes. Buckets hold stale entries instead of moving items,
-    so a peel costs O(items + decrements). ``keys`` is consumed.
-    """
-    buckets: list[list[int]] = [[] for _ in range(max(keys, default=0) + 1)]
-    for i, key in enumerate(keys):
-        buckets[key].append(i)
-    level = [-1] * len(keys)
-    for k, bucket in enumerate(buckets):
-        while bucket:
-            i = bucket.pop()
-            if level[i] < 0:
-                level[i] = k
-                for j in lowered(i):
-                    if level[j] < 0:
-                        key = keys[j] = keys[j] - 1
-                        buckets[key if key > k else k].append(j)
+
+def _peel(key: np.ndarray, ptr: np.ndarray, near: np.ndarray, groups=None) -> np.ndarray:
+    """Level of every item in a level-synchronous peel (Dasari, Ranjan &
+    Zubair, "ParK", IEEE BigData 2014): at each level k, from 0 up, all
+    items of int64 key <= k go at once, until none is left. When item i
+    goes, each item of its row ``near[ptr[i]:ptr[i + 1]]`` loses one; with
+    ``groups``, that row names groups instead, whose items lose one once."""
+    level, alive = np.zeros(len(key), np.int32), np.ones(len(key), bool)
+    live = None if groups is None else np.ones(len(groups), bool)
+    k, left, gone = 0, len(key), np.flatnonzero(key <= 0)
+    while left:
+        if not len(gone):
+            k = int(key[alive].min())
+            gone = np.flatnonzero(alive & (key <= k))
+        alive[gone] = False
+        level[gone] = k
+        left -= len(gone)
+        start, count = ptr[gone], ptr[gone + 1] - ptr[gone]
+        hit = near[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        if groups is not None:
+            hit = np.unique(hit[live[hit]])
+            live[hit] = False
+            hit = groups[hit].ravel()
+        np.subtract.at(key, hit, 1)
+        gone = np.unique(hit[alive[hit] & (key[hit] <= k)])
     return level
 
 
-def _core_numbers(g: Graph) -> list[int]:
-    """Core number of every node, the largest k whose k-core holds it:
-    nodes peeled by degree (Batagelj & Zaversnik 2003)."""
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    return _peel(np.diff(g.indptr).tolist(), lambda v: indices[indptr[v]:indptr[v + 1]])
+def _triangles(indptr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each triangle's three edge ids, of the graph with CSR ``indptr`` and
+    edges ``u[e] -- v[e]`` sorted by (u, v): wedges of edges pointed up the
+    (degree, index) rank, closed by a search of the edge keys (Schank &
+    Wagner, WEA 2005), ``_WEDGE_BLOCK`` wedges at a time."""
+    n, m = len(indptr) - 1, len(u)
+    rank = np.diff(indptr).astype(np.int64) * n + np.arange(n)
+    flip = rank[u] > rank[v]
+    src = np.where(flip, v, u)
+    out = np.argsort(src, kind="stable").astype(np.int32)  # edge ids by source
+    src, dst = src[out], np.where(flip, u, v)[out]
+    keys = u.astype(np.int64) * n + v
+    # each out-edge pairs with the later out-edges of its source
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(1, m + 1)
+    ends = np.cumsum(later)
+    del rank, flip, src
+    found, p = [np.zeros((0, 3), np.int32)], 0
+    while p < m:
+        q = max(p + 1, int(np.searchsorted(ends, ends[p] - later[p] + _WEDGE_BLOCK, "right")))
+        count = later[p:q]
+        first = np.repeat(np.arange(p, q), count)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        a, b = dst[first], dst[second]
+        key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        third = np.minimum(np.searchsorted(keys, key), m - 1)
+        hit = keys[third] == key
+        found.append(np.stack([out[first[hit]], out[second[hit]], third[hit]], 1, dtype=np.int32))
+        p = q
+    return np.concatenate(found)
 
 
-def _brace_numbers(
-    edges: list[tuple[int, int]], adj: list[set[int]], support: list[int]
-) -> list[int]:
-    """Brace number of every edge, the largest k whose k-brace keeps it:
-    edges peeled by support (truss decomposition, Wang & Cheng, VLDB 2012).
+def _level_counts(offsets: np.ndarray, u: np.ndarray, v: np.ndarray, level: np.ndarray):
+    """Per graph of a union (nodes from ``offsets``), for k = 1 up to its
+    top level, the nodes and components of its edges of level >= k; and
+    ``_join``'s labels once every edge of level >= 1 is in. Edges join from
+    the top level down, and each root hooked is one component less."""
+    n = offsets[-1]
+    node_level, hooked = np.zeros(n, np.int32), np.zeros(n, np.int32)
+    np.maximum.at(node_level, u, level)
+    np.maximum.at(node_level, v, level)
+    label = np.arange(n, dtype=np.int32)
+    order = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[order], np.arange(level.max(initial=0) + 2))
+    for k in range(len(bounds) - 2, 0, -1):
+        at = order[bounds[k]:bounds[k + 1]]
+        hooked[_join(label, u[at], v[at])] = k
+    # per graph, slots for k = 1..top and one where the runs of +1 end
+    graph = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+    top = np.zeros(len(offsets) - 1, np.int32)
+    np.maximum.at(top, graph, node_level)
+    first = np.cumsum(top + 1) - top - 1
+    start, size = first[graph], int((top + 1).sum())
 
-    An edge that goes lowers the support of the other two edges of every
-    triangle it closed. Takes the output of ``_edge_supports`` and empties
-    ``adj``.
+    def at_least(x):  # per graph and k, the nodes with x >= k
+        c = np.cumsum(np.bincount(start, minlength=size) - np.bincount(start + x, minlength=size))
+        return [c[i:i + t] for i, t in zip(first.tolist(), top.tolist())]
+
+    counts = zip(at_least(node_level), at_least(hooked))
+    return [{"nodes": a.tolist(), "components": (a - b).tolist()} for a, b in counts], label
+
+
+def decompose(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Fill every graph's largest component and structure in one array pass
+    over their disjoint union, held as one CSR, in O(n + m + triangles)
+    memory; return the union's core number of every node and brace number
+    of every edge, in node and ``edge_indices`` order.
+
+    A structure is each node's link count (its edges' supports summed:
+    twice its triangles) and, per count mode, the k-core and k-brace counts
+    for k = 1 up to the top level. An edge's core level is the smaller core
+    number of its ends: a node of core c >= 1 has an edge into the c-core.
     """
-    n = len(adj)
-    edge_id = {u * n + v: e for e, (u, v) in enumerate(edges)}
-
-    def lowered(e: int):
-        u, v = edges[e]
-        adj[u].discard(v)
-        adj[v].discard(u)
-        for w in adj[u] & adj[v]:
-            yield edge_id[min(u, w) * n + max(u, w)]
-            yield edge_id[min(v, w) * n + max(v, w)]
-
-    return _peel(list(support), lowered)
-
-
-def _level_counts(
-    n: int, edges: list[tuple[int, int]], edge_level: list[int],
-    k_set: Sequence[int], count_mode: str,
-) -> list[int]:
-    """For each k, the components (or nodes) of the subgraph formed by the
-    edges of level at least k and their endpoints.
-
-    One union-find adds the edges from the top level down and reads the
-    count at each level, so the whole k-set costs one pass.
-    """
-    top = max(edge_level, default=0)
-    edges_at: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for edge, level in zip(edges, edge_level):
-        edges_at[level].append(edge)
-    parent = list(range(n))
-    seen = [False] * n
-    count = [0] * (top + 1)
-    nodes = comps = 0
-    for level in range(top, 0, -1):
-        for u, v in edges_at[level]:
-            fresh = (not seen[u]) + (not seen[v])
-            seen[u] = seen[v] = True
-            nodes += fresh
-            comps += fresh - union(parent, u, v)
-        count[level] = comps if count_mode == "components" else nodes
-    return [count[k] if k <= top else 0 for k in k_set]
-
-
-def _core_edge_levels(g: Graph, edges: list[tuple[int, int]]) -> list[int]:
-    # A node of core number c >= 1 has an edge to the c-core, so the
-    # k-core is the edges whose endpoints both have core number >= k,
-    # plus their endpoints.
-    core = _core_numbers(g)
-    return [min(core[u], core[v]) for u, v in edges]
+    offsets = np.cumsum([0] + [g.node_count() for g in graphs])
+    starts = np.cumsum([0] + [len(g.indices) for g in graphs])
+    indptr = np.concatenate([np.zeros(1, np.int32)] + [
+        g.indptr[1:] + s for g, s in zip(graphs, starts.tolist())])
+    indices = np.concatenate([np.zeros(0, np.int32)] + [
+        g.indices + o for g, o in zip(graphs, offsets.tolist())])
+    core = _peel(np.diff(indptr).astype(np.int64), indptr, indices)  # by degree
+    u = np.repeat(np.arange(offsets[-1], dtype=np.int32), np.diff(indptr))
+    upper = indices > u
+    u, v = u[upper], indices[upper]
+    del indices, upper  # a chunk's arrays go as soon as they are used
+    tri = _triangles(indptr, u, v)
+    del indptr
+    support = np.bincount(tri.ravel(), minlength=len(u))
+    links = np.zeros(offsets[-1], np.int64)
+    np.add.at(links, u, support)
+    np.add.at(links, v, support)
+    # edges peeled by support (truss decomposition, Wang & Cheng, VLDB 2012)
+    by_edge = (np.argsort(tri.ravel(), kind="stable") // 3).astype(np.int32)
+    brace = _peel(support, np.concatenate(([0], np.cumsum(support))), by_edge, tri)
+    del tri, by_edge, support
+    kcore, label = _level_counts(offsets, u, v, np.minimum(core[u], core[v]))
+    kbrace = _level_counts(offsets, u, v, brace)[0]
+    _keep_lcc(graphs, label)
+    for i, g in enumerate(graphs):
+        g._structure = links[offsets[i]:offsets[i + 1]].tolist(), kcore[i], kbrace[i]
+    return core, brace
 
 
 def k_core_subgraph(g: Graph, k: int) -> Graph:
     """Maximal subgraph in which every node has degree >= k: the nodes of
     core number at least k."""
     _check_k((k,))
-    return g._induced(np.array(_core_numbers(g)) >= k)
+    return g._induced(decompose([g])[0] >= k)
 
 
 def k_brace_subgraph(g: Graph, k: int) -> Graph:
@@ -486,7 +518,7 @@ def k_brace_subgraph(g: Graph, k: int) -> Graph:
     """
     _check_k((k,))
     u, v = g.edge_indices()
-    kept = np.array(_brace_numbers(*_edge_supports(g))) >= k
+    kept = decompose([g])[1] >= k
     ends, uv = np.unique(np.concatenate([u[kept], v[kept]]), return_inverse=True)
     return _from_indices([g.nodes()[i] for i in ends.tolist()], *uv.reshape(2, -1))
 
@@ -510,7 +542,8 @@ def compute_features(
     whether algebraic connectivity is taken on the largest component
     (default) or the whole graph (0 when disconnected). Degree variance is
     (n sum d^2 - (2m)^2) / n^2 in exact integers, rounded once, so like
-    degree assortativity it does not depend on the node order.
+    degree assortativity it does not depend on the node order. Clustering
+    and the k columns read the structure that ``decompose`` keeps on ``g``.
     """
     if count_mode not in ("components", "nodes"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
@@ -527,11 +560,9 @@ def compute_features(
     degree_variance = (n * sum(k * k for k in degrees) - 4 * m * m) / (n * n)
 
     modularity = max_modularity_cnm(g)[0] if m >= 1 else 0.0
-    # one support pass for clustering and the brace peel
-    edges, adj, support = _edge_supports(g)
-    clustering = _clustering(degrees, edges, support)
-    kcore = _level_counts(n, edges, _core_edge_levels(g, edges), k_set, count_mode)
-    kbrace = _level_counts(n, edges, _brace_numbers(edges, adj, support), k_set, count_mode)
+    links, *levels = _structure(g)
+    kcore, kbrace = ([c[k - 1] if k <= len(c) else 0 for k in k_set]
+                     for c in (counts[count_mode] for counts in levels))
 
     return FeatureVector(
         n_nodes=n,
@@ -539,7 +570,7 @@ def compute_features(
         density=density,
         avg_degree=avg_degree,
         degree_variance=degree_variance,
-        avg_clustering=clustering,
+        avg_clustering=_clustering(degrees, links),
         degree_assortativity=degree_assortativity(g),
         avg_path_length_lcc=avg_path_length_lcc(
             g, sample_sources=path_sample_sources, seed=path_sample_seed

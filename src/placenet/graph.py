@@ -25,13 +25,14 @@ class Graph:
     graph is stored as its sorted node ids and one int32 CSR adjacency,
     built once by ``_build``, which builds every graph: node ``i`` is
     ``nodes()[i]`` and its neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
-    sorted. Both arrays are read-only. The one other field, the largest
-    component kept by ``largest_connected_component``, is filled
-    idempotently with an equal graph, so instances are safe to share
-    across concurrent feature computations.
+    sorted. Both arrays are read-only. Two other fields, the largest
+    component and the structure read by ``compute_features`` (link counts,
+    and k-core and k-brace counts at every level), are filled on first use
+    or by ``placenet.features.decompose``, idempotently with equal values,
+    so instances are safe to share across concurrent feature computations.
     """
 
-    __slots__ = ("_nodes", "indptr", "indices", "_lcc")
+    __slots__ = ("_nodes", "indptr", "indices", "_lcc", "_structure")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()):
         ends = [w for u, v in edges for w in (u, v)]
@@ -58,7 +59,7 @@ class Graph:
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self._nodes, self.indptr, self.indices = tuple(ids[i] for i in order), indptr, indices
-        self._lcc = None
+        self._lcc = self._structure = None
         return self
 
     def node_count(self) -> int:
@@ -158,42 +159,50 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def union(parent: list[int], u: int, v: int) -> bool:
-    """Join the sets of ``u`` and ``v``; True if they were apart.
+def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Join the components of the ends of each edge ``u[e] -- v[e]`` in
+    ``label``, which gives every node its component's smallest node, and
+    return the roots hooked. Each round hooks the larger root of each edge
+    across components under the smaller (the smallest if several), then
+    jumps pointers (min-label propagation, Shiloach & Vishkin 1982)."""
+    hooked = [u[:0]]
+    while True:
+        u, v = label[u], label[v]
+        apart = u != v
+        if not apart.any():
+            return np.concatenate(hooked)
+        u, v = u[apart], v[apart]
+        hi = np.maximum(u, v)
+        np.minimum.at(label, hi, np.minimum(u, v))
+        hooked.append(hi)
+        while not np.array_equal(up := label[label], label):
+            label[:] = up
 
-    ``parent`` is a union-find forest over node indices whose every root
-    is its set's smallest member, so ``parent[x] <= x`` for every x.
-    Finds halve their paths.
-    """
-    while parent[u] != u:
-        parent[u] = u = parent[parent[u]]
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    if u == v:
-        return False
-    if u < v:
-        parent[v] = u
-    else:
-        parent[u] = v
-    return True
+
+def _keep_lcc(graphs: Sequence[Graph], label: np.ndarray) -> None:
+    """Keep on each graph its largest component, from ``_join``'s labels of
+    the graphs' disjoint union, nodes numbered graph after graph."""
+    size = np.bincount(label, minlength=len(label))
+    start = 0
+    for g in graphs:
+        n = g.node_count()
+        # argmax keeps the first maximum, the component of the smallest id
+        top = start + int(size[start:start + n].argmax()) if n else 0
+        g._lcc = g._induced(label[start:start + n] == top)
+        start += n
 
 
-def _component_roots(g: Graph) -> list[int]:
+def _component_labels(g: Graph) -> np.ndarray:
     """Each node's component, named by the index of its smallest member."""
-    parent = list(range(g.node_count()))
-    u, v = g.edge_indices()
-    for a, b in zip(u.tolist(), v.tolist()):
-        union(parent, a, b)
-    # parent[x] <= x, so one pass in index order reaches every root
-    for x in range(len(parent)):
-        parent[x] = parent[parent[x]]
-    return parent
+    label = np.arange(g.node_count(), dtype=np.int32)
+    _join(label, *g.edge_indices())
+    return label
 
 
 def connected_components(g: Graph) -> list[list[str]]:
     """Connected components as sorted node lists, ordered by smallest member."""
     comps: dict[int, list[str]] = {}
-    for u, root in zip(g.nodes(), _component_roots(g)):
+    for u, root in zip(g.nodes(), _component_labels(g).tolist()):
         comps.setdefault(root, []).append(u)
     return list(comps.values())
 
@@ -202,15 +211,12 @@ def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component, as a new graph.
 
     Size ties go to the component containing the lexicographically smallest
-    node id; the empty graph maps to the empty graph. The first call keeps
-    the result on ``g`` and later calls return that same object, so a graph
-    is searched for components once.
+    node id; the empty graph maps to the empty graph. The first call (or
+    ``placenet.features.decompose``) keeps the result on ``g`` and later
+    calls return that same object: a graph is searched for components once.
     """
     if g._lcc is None:
-        roots = np.array(_component_roots(g), dtype=np.intp)
-        # argmax keeps the first maximum, the component of the smallest id;
-        # minlength gives the empty graph an empty mask
-        g._lcc = g._induced(roots == np.bincount(roots, minlength=1).argmax())
+        _keep_lcc([g], _component_labels(g))
     return g._lcc
 
 
@@ -223,7 +229,7 @@ def bfs_distances(g: Graph, source: str) -> dict[str, int]:
     names = g.nodes()
     start = bisect_left(names, source)
     if start == len(names) or names[start] != source:
-        raise ValueError(source)
+        raise ValueError(f"node {source!r} is not in the graph")
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     dist = {start: 0}
     queue = deque([start])

@@ -139,7 +139,7 @@ def representative_distances(
     """
     members = np.flatnonzero(ensemble.categories == category)
     if not members.size:
-        raise ValueError(category)
+        raise ValueError(f"category {category!r} is not in the ensemble")
     weights = np.asarray(importance, dtype=float)
     if weights.shape != (ensemble.dim,):
         raise ValueError(f"importance must have dimension {ensemble.dim}")

@@ -105,19 +105,19 @@ def write_jsonl(path, objects: Iterable[dict]) -> None:
         fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
 
 
-def read_jsonl(path, parse: Callable[[object], T]) -> list[T]:
-    """``parse(object)`` of every non-blank line of a JSON-lines file.
+def read_jsonl(path, parse: Callable[[object], T]) -> list[tuple[int, T]]:
+    """``(line number, parse(object))`` of every non-blank line of a JSON-lines file.
 
     Invalid JSON, and a ``ValueError`` from ``parse``, are reported with
     the line.
     """
-    out: list[T] = []
+    out: list[tuple[int, T]] = []
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append((line_no, parse(json.loads(line))))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
             except ValueError as exc:

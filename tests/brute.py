@@ -682,3 +682,135 @@ def scatter_reference(n_components: int, dyad_fraction: float, rng) -> list[tupl
         else:
             edges += [(a, b), (b, c), (a, c)]
     return edges
+
+
+# The per-node and per-edge loops that computed clustering, the k-core and
+# k-brace counts and the components before they became array passes over a
+# union of graphs; kept as oracles for ``placenet.features.decompose``.
+
+
+def edge_supports(g) -> tuple[list[tuple[int, int]], list[set[int]], list[int]]:
+    """The edges ``(u, v)``, u < v, in ``edge_indices()`` order, each node's
+    neighbour set and each edge's support ``|N(u) & N(v)|``, all by node
+    index."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = [set(indices[indptr[i]:indptr[i + 1]]) for i in range(g.node_count())]
+    u, v = g.edge_indices()
+    edges = list(zip(u.tolist(), v.tolist()))
+    return edges, adj, [len(adj[a] & adj[b]) for a, b in edges]
+
+
+def link_counts(g) -> list[int]:
+    """Each node's sum of its edges' supports: twice its triangles."""
+    edges, _, support = edge_supports(g)
+    links = [0] * g.node_count()
+    for (u, v), s in zip(edges, support):
+        links[u] += s
+        links[v] += s
+    return links
+
+
+def peel(keys: list[int], lowered) -> list[int]:
+    """Level of every item in a sequential bucket peel.
+
+    At each level k, from 0 up, items whose key is at most k are removed
+    one by one and get level k; ``lowered(i)`` names the items whose key
+    drops by one when item i goes. ``keys`` is consumed.
+    """
+    buckets: list[list[int]] = [[] for _ in range(max(keys, default=0) + 1)]
+    for i, key in enumerate(keys):
+        buckets[key].append(i)
+    level = [-1] * len(keys)
+    for k, bucket in enumerate(buckets):
+        while bucket:
+            i = bucket.pop()
+            if level[i] < 0:
+                level[i] = k
+                for j in lowered(i):
+                    if level[j] < 0:
+                        key = keys[j] = keys[j] - 1
+                        buckets[key if key > k else k].append(j)
+    return level
+
+
+def core_numbers(g) -> list[int]:
+    """Core number of every node: nodes peeled by degree one at a time
+    (Batagelj & Zaversnik 2003)."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    return peel(np.diff(g.indptr).tolist(), lambda v: indices[indptr[v]:indptr[v + 1]])
+
+
+def brace_numbers(g) -> list[int]:
+    """Brace number of every edge, in ``edge_indices()`` order: edges peeled
+    by support one at a time; a going edge lowers the support of the other
+    two edges of every triangle it closed."""
+    edges, adj, support = edge_supports(g)
+    n = len(adj)
+    edge_id = {u * n + v: e for e, (u, v) in enumerate(edges)}
+
+    def lowered(e: int):
+        u, v = edges[e]
+        adj[u].discard(v)
+        adj[v].discard(u)
+        for w in adj[u] & adj[v]:
+            yield edge_id[min(u, w) * n + max(u, w)]
+            yield edge_id[min(v, w) * n + max(v, w)]
+
+    return peel(list(support), lowered)
+
+
+def core_edge_levels(g) -> list[int]:
+    """Each edge's smaller end core number, in ``edge_indices()`` order."""
+    core = core_numbers(g)
+    return [min(core[u], core[v]) for u, v in edge_supports(g)[0]]
+
+
+def union(parent: list[int], u: int, v: int) -> bool:
+    """Join the sets of ``u`` and ``v`` in a union-find forest whose roots
+    are their sets' smallest members; True if they were apart."""
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    if u == v:
+        return False
+    if u < v:
+        parent[v] = u
+    else:
+        parent[u] = v
+    return True
+
+
+def component_roots(g) -> list[int]:
+    """Each node's component, named by the index of its smallest member."""
+    parent = list(range(g.node_count()))
+    u, v = g.edge_indices()
+    for a, b in zip(u.tolist(), v.tolist()):
+        union(parent, a, b)
+    for x in range(len(parent)):  # parent[x] <= x: one pass reaches every root
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def level_counts(g, edge_level: list[int], ks, count_mode: str) -> list[int]:
+    """For each k of ``ks``, the components (or nodes) of the subgraph formed
+    by the edges of level at least k and their ends: one union-find adds
+    the edges from the top level down."""
+    n = g.node_count()
+    edges = edge_supports(g)[0]
+    top = max(edge_level, default=0)
+    edges_at: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for edge, level in zip(edges, edge_level):
+        edges_at[level].append(edge)
+    parent = list(range(n))
+    seen = [False] * n
+    count = [0] * (top + 1)
+    nodes = comps = 0
+    for level in range(top, 0, -1):
+        for u, v in edges_at[level]:
+            fresh = (not seen[u]) + (not seen[v])
+            seen[u] = seen[v] = True
+            nodes += fresh
+            comps += fresh - union(parent, u, v)
+        count[level] = comps if count_mode == "components" else nodes
+    return [count[k] if k <= top else 0 for k in ks]

@@ -161,6 +161,36 @@ def test_generate_and_features_bytes_are_pinned(tmp_path):
         sorted(name[len("graphs/"):] for name in PINNED_DIGESTS if name.startswith("graphs/"))
 
 
+@pytest.mark.parametrize("flags", [[], ["--count-mode", "nodes", "--k-set", "1,3,5,30"]],
+                         ids=["default", "nodes"])
+def test_features_bytes_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch, flags):
+    # PIN_CONFIG's graphs (about 2 800 edges) and two edgeless ones
+    (tmp_path / "chunk.ini").write_text(PIN_CONFIG + "\n[lone]\nkind = erdos_renyi\n"
+                                        "n = 4\np = 0.0\ncount = 2\n")
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(tmp_path / "chunk.ini"),
+                 "--out-dir", str(gen), "--seed", "7"]) == 0
+    chunks = []
+
+    def decompose(graphs):
+        chunks.append([g.edge_count() for g in graphs])
+        return placenet.features.decompose(graphs)
+
+    monkeypatch.setattr(placenet.cli, "decompose", decompose)
+    outputs = []
+    for budget, sizes in ((1, [1] * 8 + [2]), (1000, [3, 3, 1, 3]),
+                          (placenet.cli._CHUNK_EDGES, [10])):
+        monkeypatch.setattr(placenet.cli, "_CHUNK_EDGES", budget)
+        chunks.clear()
+        out = tmp_path / f"out{budget}"
+        assert main(["features", "--manifest", str(gen / "manifest.jsonl"),
+                     "--out-dir", str(out), *flags]) == 0
+        outputs.append((out / "features.csv").read_bytes())
+        assert all(sum(c) <= budget or len(c) == 1 for c in chunks), chunks
+        assert [len(c) for c in chunks] == sizes, chunks
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 SIM_PIN_CONFIG = """\
 [er_a]
 kind = erdos_renyi
@@ -518,6 +548,25 @@ def test_malformed_edge_file_names_file_and_line(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "bad.edges" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory"),
+])
+def test_unreadable_edge_list_names_manifest_line_and_path(tmp_path, capsys, kind, reason):
+    (tmp_path / "p.edges").write_text("a b\n")
+    if kind == "directory":
+        (tmp_path / "q.edges").mkdir()
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(  # line 2 is blank
+        json.dumps({"id": gid, "path": f"{gid}.edges", "category": "c"}) + "\n\n"
+        for gid in ("p", "q")))
+    assert main(["features", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {manifest}: line 3: "), err
+    assert f"{reason}: '{tmp_path / 'q.edges'}'" in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_edge_file_id_starting_with_hash_names_file_and_line(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_neighbors_truncation():
 
 def test_unknown_seed_label():
     model = small_model()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed label 'NOT_A_LABEL' is not in the vocabulary$"):
         nearest_categories(model, "NOT_A_LABEL")
 
 

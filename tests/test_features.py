@@ -38,7 +38,6 @@ from placenet.generators import (
 )
 from placenet.graph import (
     Graph,
-    _component_roots,
     bfs_distances,
     largest_connected_component,
     serialize_edge_list,
@@ -687,6 +686,111 @@ def test_compute_features_k_columns_match_naive_fixpoints(count_mode):
 
 
 # ---------------------------------------------------------------------------
+# decompose against the per-node and per-edge loops it replaced
+
+
+def tie_heavy_graphs():
+    """Cliques, cliques sharing nodes or bridged, and disjoint unions of
+    them: many edges with equal supports and nodes with equal degrees."""
+    def clique(tag, k):
+        ids = [f"{tag}{i}" for i in range(k)]
+        return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+
+    yield from (Graph(clique("k", k)) for k in range(2, 8))
+    yield Graph(clique("a", 4) + clique("b", 4) + clique("c", 5))
+    yield Graph(clique("a", 5) + clique("b", 5) + [("a0", "b0")])
+    yield Graph(clique("a", 6) + [("a0", "x"), ("a1", "x"), ("x", "y"), ("y", "c0"),
+                                  ("c0", "c1"), ("c1", "y")])
+    yield Graph(clique("a", 4) + clique("b", 4) + [("a3", "b0"), ("a2", "b0"), ("a1", "b1")])
+    yield Graph([(f"h{i}", f"h{(i + 1) % 9}") for i in range(9)] + clique("w", 4),
+                nodes=["lone", "z"])
+
+
+def decompose_graphs():
+    rng = derive_rng(47)
+    graphs = [random_graph(rng, max_n=16, min_n=0) for _ in range(60)]
+    graphs += list(tie_heavy_graphs())
+    graphs += [gen_er(80, 0.1, seed=1), gen_core_periphery(10, 50, 0.9, 0.1, 0.02, seed=2),
+               gen_multi_core_community(3, 20, 0.5, 0.02, seed=3),
+               gen_dyad_triad_scatter(25, 0.5, seed=4)]
+    graphs += [Graph(), Graph(nodes=["a"]), Graph(nodes=["b", "a", "c"]),
+               Graph([("a", "b"), ("b", "c"), ("a", "c")], nodes=["0", "d", "z"])]
+    assert any(0 in brute.degrees(g).values() for g in graphs[:60])  # isolated nodes
+    return graphs
+
+
+def fresh(g):
+    """An equal graph with nothing kept on it yet."""
+    return Graph(brute.edge_list(g), nodes=g.nodes())
+
+
+def assert_decomposed_like_oracles(graphs, core, brace):
+    at_node = at_edge = 0
+    for g in graphs:
+        n, m = g.node_count(), g.edge_count()
+        assert core[at_node:at_node + n].tolist() == brute.core_numbers(g)
+        braces = brute.brace_numbers(g)
+        assert brace[at_edge:at_edge + m].tolist() == braces
+        at_node, at_edge = at_node + n, at_edge + m
+        links, kcore, kbrace = g._structure
+        assert links == brute.link_counts(g)
+        for counts, levels in ((kcore, brute.core_edge_levels(g)), (kbrace, braces)):
+            ks = range(1, max(levels, default=0) + 2)  # one above the top level
+            for mode in ("components", "nodes"):
+                assert [counts[mode][k - 1] if k <= len(counts[mode]) else 0
+                        for k in ks] == brute.level_counts(g, levels, ks, mode)
+        roots = brute.component_roots(g)
+        sizes = [roots.count(r) for r in range(n)]
+        top = sizes.index(max(sizes)) if n else None  # first maximum: smallest id
+        keep = {u for u, r in zip(g.nodes(), roots) if r == top}
+        assert g._lcc.nodes() == tuple(sorted(keep))
+        assert brute.edge_list(g._lcc) == [e for e in brute.edge_list(g) if e[0] in keep]
+
+
+def test_decompose_matches_oracles_on_each_graph_alone():
+    for g in decompose_graphs():
+        assert_decomposed_like_oracles([g], *placenet.features.decompose([g]))
+
+
+def test_decompose_matches_oracles_inside_one_chunk():
+    graphs = decompose_graphs()
+    graphs = [fresh(graphs[i]) for i in derive_rng(53).permutation(len(graphs)).tolist()]
+    assert_decomposed_like_oracles(graphs, *placenet.features.decompose(graphs))
+
+
+def test_decompose_of_no_graphs():
+    core, brace = placenet.features.decompose([])
+    assert core.size == 0 and brace.size == 0
+
+
+def test_decompose_star_with_first_hub_stays_in_linear_memory():
+    # Degree-rank orientation points every leaf at the hub: no wedge. Index
+    # orientation would point the hub ("a", index 0) at every leaf: about
+    # 5e9 wedges, checked in blocks in bounded memory but for over a minute
+    # (78 s on a 2-vCPU machine), hence the timeout; this takes about 1 s.
+    # The child reads its own peak RSS, as in the generator test.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak RSS from /proc")
+    code = """
+from placenet.features import decompose
+from placenet.graph import Graph
+g = Graph([("a", f"leaf{i:06d}") for i in range(100_000)])
+core, brace = decompose([g])
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+print(g.nodes()[0], core.max(), brace.max(), *g._structure[1]["components"],
+      len(g._lcc.nodes()), int(hwm.split()[1]) // 1024)
+"""
+    src = os.path.dirname(os.path.dirname(placenet.features.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=30,
+                         capture_output=True, text=True).stdout.split()
+    assert out[:5] == ["a", "1", "0", "1", "100001"]
+    assert int(out[5]) < 300, f"peak RSS {out[5]} MB"
+
+
+# ---------------------------------------------------------------------------
 # differential tests against networkx on 500-2000-node graphs
 
 NX_GRAPHS = {
@@ -797,17 +901,25 @@ def test_compute_features_bounds():
     {}, {"lambda2_scope": "global"}, {"path_sample_sources": 5},
 ], ids=["lcc", "global", "sampled"])
 def test_compute_features_extracts_one_lcc(monkeypatch, options):
+    # one component search per graph: decompose's, which keeps the LCC that
+    # the path length and lambda2 then read
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return _component_roots(g)
+    def counting(name, search):
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return search(*args)
+        return wrapper
 
-    monkeypatch.setattr(placenet.graph, "_component_roots", counting)
+    monkeypatch.setattr(placenet.features, "decompose",
+                        counting("decompose", placenet.features.decompose))
+    monkeypatch.setattr(placenet.graph, "_component_labels",
+                        counting("lone", placenet.graph._component_labels))
     for g in (gen_er(60, 0.05, seed=3), path(200)):
         calls.clear()
         compute_features(g, **options)
-        assert calls == [g]
+        assert calls == [("decompose", [g])]
+        assert g._lcc is not None
 
 
 def test_features_csv_round_trip(tmp_path):

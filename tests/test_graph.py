@@ -187,12 +187,12 @@ def test_bfs_excludes_unreachable():
 
 
 def test_bfs_unknown_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 'zzz' is not in the graph$"):
         bfs_distances(Graph([("a", "b")]), "zzz")
     for absent in ("", "0", "a0", "b", "zzz"):  # before, between and after the ids
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^node '{absent}' is not in the graph$"):
             bfs_distances(Graph([("a", "c")], nodes=["aa"]), absent)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 'a' is not in the graph$"):
         bfs_distances(Graph(), "a")
 
 

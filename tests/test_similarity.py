@@ -293,7 +293,7 @@ def test_per_category_scope_and_presquare_mode_run():
 
 def test_unknown_category_raises():
     ens = Ensemble.from_rows([("a", "g", [1.0])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^category 'nope' is not in the ensemble$"):
         representative_graph(ens, "nope", [1.0])
 
 
