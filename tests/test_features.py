@@ -752,7 +752,10 @@ def test_decompose_matches_oracles_on_each_graph_alone():
         assert_decomposed_like_oracles([g], *placenet.features.decompose([g]))
 
 
-def test_decompose_matches_oracles_inside_one_chunk():
+@pytest.mark.parametrize("block", [1, 7, placenet.features._WEDGE_BLOCK])
+def test_decompose_matches_oracles_inside_one_chunk(monkeypatch, block):
+    # wedges checked one, seven or 4096 at a time: blocks end inside a node's wedges
+    monkeypatch.setattr(placenet.features, "_WEDGE_BLOCK", block)
     graphs = decompose_graphs()
     graphs = [fresh(graphs[i]) for i in derive_rng(53).permutation(len(graphs)).tolist()]
     assert_decomposed_like_oracles(graphs, *placenet.features.decompose(graphs))
