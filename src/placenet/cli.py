@@ -404,14 +404,11 @@ def _cmd_embed(args, out_dir: Path):
 
 
 def _cmd_prevalence(args, out_dir: Path):
-    records = load_places_csv(str(args.places))
     regions = load_regions_csv(str(args.regions))
-    external = load_external_counts_csv(str(args.external)) if args.external else None
-    stray = next((rec for rec in records if rec.region_id not in regions), None)
-    if stray is not None:
-        raise ValueError(f"{args.places}: page {stray.page_id!r} has region "
-                         f"{stray.region_id!r}, which {args.regions} does not list")
-    counts = fractional_counts(records)
+    pages = load_places_csv(str(args.places), regions, str(args.regions))
+    external = (load_external_counts_csv(str(args.external), regions, str(args.regions))
+                if args.external else None)
+    counts = fractional_counts(pages)
     table = per_capita(counts, regions)
     medians = {key: bin_medians(table, regions, key) for key in BIN_KEYS}
     results = {}  # every correlation is taken before the first write

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ class Graph:
     Node ids are opaque strings. Self-loop edges passed to the constructor
     register the node but no edge; duplicate edges collapse to one. The
     graph is stored as its sorted node ids and one int32 CSR adjacency,
-    built once by ``_build``, which builds every graph: node ``i`` is
+    built once by ``_build`` (or, for a subgraph, ``_induced``): node ``i`` is
     ``nodes()[i]`` and its neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
     sorted. Both arrays are read-only. Two other fields, the largest
     component and the structure read by ``compute_features`` (link counts,
@@ -56,9 +57,13 @@ class Graph:
         simple[1:] &= keys[1:] != keys[:-1]
         indptr = np.searchsorted(rows[simple], np.arange(n + 1)).astype(np.int32)
         indices = cols[simple].astype(np.int32)
+        return self._set(tuple(ids[i] for i in order), indptr, indices)
+
+    def _set(self, ids: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """Fill this graph from its sorted node ids and their int32 CSR."""
         indptr.flags.writeable = False
         indices.flags.writeable = False
-        self._nodes, self.indptr, self.indices = tuple(ids[i] for i in order), indptr, indices
+        self._nodes, self.indptr, self.indices = ids, indptr, indices
         self._lcc = self._structure = None
         return self
 
@@ -80,12 +85,14 @@ class Graph:
         return rows[upper], self.indices[upper]
 
     def _induced(self, mask: np.ndarray) -> "Graph":
-        """Induced subgraph on the nodes where ``mask`` is true."""
-        u, v = self.edge_indices()
-        kept = mask[u] & mask[v]
-        relabel = np.cumsum(mask) - 1
-        ids = [w for w, keep in zip(self._nodes, mask.tolist()) if keep]
-        return _from_indices(ids, relabel[u[kept]], relabel[v[kept]])
+        """Induced subgraph on the nodes where ``mask`` is true: this CSR's kept
+        rows less the dropped neighbours, renumbered in order, so still sorted."""
+        kept = np.repeat(mask, np.diff(self.indptr)) & mask[self.indices]
+        before = np.insert(np.cumsum(kept, dtype=np.int32), 0, 0)  # kept entries before
+        indptr = before[np.append(self.indptr[:-1][mask], len(kept))]
+        indices = (np.cumsum(mask, dtype=np.int32) - 1)[self.indices[kept]]
+        ids = tuple(compress(self._nodes, mask.tolist()))
+        return Graph.__new__(Graph)._set(ids, indptr, indices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -9,9 +9,9 @@ category for mapping, and medians are reported across demographic bins.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -20,11 +20,7 @@ from placenet.tables import number, read_csv, unique, write_csv
 
 BIN_KEYS = ("rucc", "income_decile", "education_decile", "foreign_born_decile")
 
-
-class PlaceRecord(NamedTuple):
-    page_id: str
-    region_id: str
-    categories: tuple[str, ...]
+Tally = dict[tuple[str, tuple[str, ...]], int]  # pages per (region, categories)
 
 
 @dataclass(frozen=True)
@@ -48,26 +44,17 @@ class PrevalenceEntry(NamedTuple):
     decile: int
 
 
-def fractional_counts(
-    records: list[PlaceRecord],
-) -> dict[tuple[str, str], Fraction]:
-    """Weighted page counts per (region, category), in first-seen order.
+def fractional_counts(pages: Tally) -> dict[tuple[str, str], Fraction]:
+    """Weighted page counts per (region, category), in first-seen order,
+    from a page tally whose keys hold non-empty sets of distinct categories.
 
     A page with c categories adds 1/c to each of them, so its total
     contribution is exactly 1; counts are exact rationals so the overall
-    mass equals the number of records with no rounding. The sums are
-    taken in integers: pages are tallied by region and category set, and
-    with L the lcm of every category count, n pages of c categories add
-    n * L/c to the numerator of each of their cells, whose count is that
-    numerator over L.
-
-    Raises:
-        ValueError: naming the page id, for a record without categories.
+    mass equals the number of pages with no rounding. The sums are taken
+    in integers: with L the lcm of every category count, n pages of c
+    categories add n * L/c to the numerator of each of their cells, whose
+    count is that numerator over L.
     """
-    for rec in records:
-        if not rec.categories:
-            raise ValueError(f"record {rec.page_id!r} rejected: empty category set")
-    pages = Counter((rec.region_id, rec.categories) for rec in records)
     lcm = math.lcm(*{len(cats) for _, cats in pages})
     numerators: dict[tuple[str, str], int] = {}
     for (region, cats), n in pages.items():
@@ -203,17 +190,26 @@ def log_pearson(
 # CSV interfaces
 
 
-def load_places_csv(path: str) -> list[PlaceRecord]:
-    """Columns: page_id (unique), region_id, categories (semicolon-joined)."""
+def load_places_csv(path: str, regions: Mapping[str, RegionInfo], regions_path: str) -> Tally:
+    """Page tally of a table of columns page_id (unique), region_id (one of
+    ``regions``, read from ``regions_path``) and categories (labels joined
+    by semicolons, blanks stripped; each distinct cell is parsed once)."""
     seen: set[str] = set()
+    tally: Tally = {}
+    labels = cache(lambda cell: tuple(sorted(set(filter(None, map(str.strip, cell.split(";")))))))
 
-    def record(page_id: str, region_id: str, categories: str) -> PlaceRecord:
-        cats = tuple(sorted(set(filter(None, map(str.strip, categories.split(";"))))))
-        if not cats:
+    def row(page_id: str, region_id: str, cell: str) -> None:
+        key = region_id, labels(cell)
+        if not key[1]:
             raise ValueError(f"record {page_id!r} rejected: empty category set")
-        return PlaceRecord(unique(seen, page_id, "page_id"), region_id, cats)
+        unique(seen, page_id, "page_id")
+        if region_id not in regions:
+            raise ValueError(f"page {page_id!r} has region {region_id!r}, "
+                             f"which {regions_path} does not list")
+        tally[key] = tally.get(key, 0) + 1
 
-    return read_csv(path, ["page_id", "region_id", "categories"], record)[1]
+    read_csv(path, ["page_id", "region_id", "categories"], row)
+    return tally
 
 
 def load_regions_csv(path: str) -> dict[str, RegionInfo]:
@@ -236,11 +232,17 @@ def load_regions_csv(path: str) -> dict[str, RegionInfo]:
     return dict(rows)
 
 
-def load_external_counts_csv(path: str) -> dict[str, dict[str, float]]:
-    """Columns: region_id, category, count. Returns category -> region -> count."""
+def load_external_counts_csv(
+    path: str, regions: Mapping[str, RegionInfo], regions_path: str
+) -> dict[str, dict[str, float]]:
+    """Columns: region_id (one of ``regions``, read from ``regions_path``),
+    category, count. Returns category -> region -> count."""
     out: dict[str, dict[str, float]] = {}
 
     def row(region_id: str, category: str, count: str) -> None:
+        if region_id not in regions:
+            raise ValueError(f"category {category!r} has a count for region {region_id!r}, "
+                             f"which {regions_path} does not list")
         by_region = out.setdefault(category, {})
         if region_id in by_region:
             raise ValueError(f"duplicate region_id and category {(region_id, category)!r}")

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -70,7 +71,9 @@ def read_csv(
         missing = [c for c in columns or () if c not in header]
         if missing:
             raise ValueError(f"{path}: line 1: header lacks column(s) {', '.join(missing)}")
-        pick = range(len(header)) if columns is None else [header.index(c) for c in columns]
+        at = range(len(header)) if columns is None else [header.index(c) for c in columns]
+        # one C call per row; an itemgetter of one index returns a bare cell
+        pick = itemgetter(*at) if len(at) > 1 else lambda row: [row[i] for i in at]
         out: list[T] = []
         for row in reader:
             if not row:
@@ -78,7 +81,7 @@ def read_csv(
             try:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} cells, found {len(row)}")
-                out.append(parse(*[row[i] for i in pick]))
+                out.append(parse(*pick(row)))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, out

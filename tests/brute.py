@@ -12,6 +12,7 @@ import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -428,6 +429,24 @@ def pearson(xs, ys) -> float:
     dx = x - x.mean()
     dy = y - y.mean()
     return float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
+
+
+class Page(NamedTuple):
+    """One page of a places table: its id, region and distinct categories."""
+
+    page_id: str
+    region_id: str
+    categories: tuple[str, ...]
+
+
+def page_tally_reference(records) -> dict[tuple[str, tuple[str, ...]], int]:
+    """Pages per (region, sorted category set), counted page by page, in
+    first-seen order."""
+    tally: dict[tuple[str, tuple[str, ...]], int] = {}
+    for rec in records:
+        key = (rec.region_id, tuple(sorted(rec.categories)))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
 
 
 def fractional_counts_reference(records) -> dict[tuple[str, str], Fraction]:

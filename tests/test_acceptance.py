@@ -26,7 +26,7 @@ from placenet.features import (
 from placenet.forest import ForestParams, cross_validated_auc, roc_auc
 from placenet.generators import gen_core_periphery, gen_er
 from placenet.graph import Graph
-from placenet.prevalence import PlaceRecord, fractional_counts, log_pearson
+from placenet.prevalence import fractional_counts, log_pearson
 from placenet.seeding import derive_rng, derive_seed
 from placenet.similarity import Ensemble, representative_graph
 
@@ -253,14 +253,14 @@ def test_c6_prevalence():
         for i in range(10_000):
             k = int(rng.integers(1, 4))
             picks = sorted(rng.choice(len(cats), size=k, replace=False))
-            records.append(PlaceRecord(
+            records.append(brute.Page(
                 f"p{i}", f"r{int(rng.integers(0, 40))}",
                 tuple(cats[j] for j in picks),
             ))
-        counts = fractional_counts(records)
+        counts = fractional_counts(brute.page_tally_reference(records))
         assert sum(counts.values()) == Fraction(10_000)  # exact mass conservation
 
-        two_cat = fractional_counts([PlaceRecord("p", "r", ("a", "b"))])
+        two_cat = fractional_counts({("r", ("a", "b")): 1})
         assert float(two_cat[("r", "a")]) == 0.5
         assert float(two_cat[("r", "b")]) == 0.5
 

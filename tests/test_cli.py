@@ -1,6 +1,7 @@
 """Command-line pipeline: shapes, exit codes, determinism, provenance."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -957,8 +958,36 @@ def test_place_in_unlisted_region_names_places_file_page_and_region(tmp_path, ca
     places = "page_id,region_id,categories\np1,r1,cafe\np2,R9,bar\np3,R8,cafe\np4,R9,bar\n"
     assert run_in(tmp_path, PREVALENCE, **{"places.csv": places}) == 2
     err = capsys.readouterr().err
-    assert (f"data error: {tmp_path / 'places.csv'}: page 'p2' has region 'R9', "
+    assert (f"data error: {tmp_path / 'places.csv'}: line 3: page 'p2' has region 'R9', "
             f"which {tmp_path / 'regions.csv'} does not list") in err, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_external_count_in_unlisted_region_stops_prevalence_before_any_output(tmp_path,
+                                                                              capsys):
+    external = "region_id,category,count\nr1,cafe,3\nr2,cafe,5\nZZ,cafe,100\n"
+    assert run_in(tmp_path, PREVALENCE, **{"external.csv": external}) == 2
+    err = capsys.readouterr().err
+    assert (f"data error: {tmp_path / 'external.csv'}: line 4: category 'cafe' has a count "
+            f"for region 'ZZ', which {tmp_path / 'regions.csv'} does not list") in err, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# One bad row of each kind, on lines 3-6 of the places table in every order.
+BAD_PLACE_ROWS = {
+    "short": ("p1,r1", "expected 3 cells, found 2"),
+    "no category": ("p2,r1, ;; ", "record 'p2' rejected: empty category set"),
+    "repeated page": ("p0,r2,bar", "duplicate page_id 'p0'"),
+    "unlisted region": ("p3,ZZ,bar", "page 'p3' has region 'ZZ', which"),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(BAD_PLACE_ROWS)), ids="-".join)
+def test_first_bad_place_row_is_named_whatever_its_kind(tmp_path, capsys, order):
+    rows = ["page_id,region_id,categories", "p0,r1,cafe"] + [BAD_PLACE_ROWS[k][0] for k in order]
+    assert run_in(tmp_path, PREVALENCE, **{"places.csv": "\n".join(rows) + "\n"}) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'places.csv'}: line 3: {BAD_PLACE_ROWS[order[0]][1]}" in err
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -649,6 +649,7 @@ def test_core_and_brace_match_naive_fixpoints():
             sub = k_core_subgraph(g, k)
             assert set(sub.nodes()) == nodes
             assert set(brute.edge_list(sub)) == edges
+            assert sub == Graph(edges, nodes=nodes)  # the same CSR, built by sorting
             bnodes, bedges = brute.kbrace_fixpoint_naive(g, k)
             bsub = k_brace_subgraph(g, k)
             assert set(bsub.nodes()) == bnodes
@@ -745,6 +746,10 @@ def assert_decomposed_like_oracles(graphs, core, brace):
         keep = {u for u, r in zip(g.nodes(), roots) if r == top}
         assert g._lcc.nodes() == tuple(sorted(keep))
         assert brute.edge_list(g._lcc) == [e for e in brute.edge_list(g) if e[0] in keep]
+        # sliced from g's rows, the LCC has the CSR that sorting its edges gives
+        assert g._lcc == Graph(brute.edge_list(g._lcc), nodes=keep)
+        assert g._lcc.indptr.dtype == g._lcc.indices.dtype == np.int32
+        assert not (g._lcc.indptr.flags.writeable or g._lcc.indices.flags.writeable)
 
 
 def test_decompose_matches_oracles_on_each_graph_alone():

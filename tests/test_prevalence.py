@@ -1,5 +1,7 @@
 """Fractional counting, rates, deciles, bin medians and log correlation."""
 
+import csv
+import io
 import math
 import random
 import re
@@ -8,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 import brute
+from brute import Page
 from placenet.prevalence import (
-    PlaceRecord,
     RegionInfo,
     bin_medians,
     decile_assign,
@@ -27,19 +29,28 @@ def region(population=1000, rucc=1, income=50000.0, education=0.3, foreign=0.1):
     return RegionInfo(population, rucc, income, education, foreign)
 
 
+def listed(*region_ids):
+    return {r: region() for r in region_ids}
+
+
+def counts_of(records):
+    """``fractional_counts`` of the page tally of ``records``."""
+    return fractional_counts(brute.page_tally_reference(records))
+
+
 # ---------------------------------------------------------------------------
 # fractional counts
 
 
 def test_two_categories_split_half_each():
-    counts = fractional_counts([PlaceRecord("p", "r", ("bar", "cafe"))])
+    counts = counts_of([Page("p", "r", ("bar", "cafe"))])
     assert counts[("r", "bar")] == Fraction(1, 2)
     assert counts[("r", "cafe")] == Fraction(1, 2)
     assert float(counts[("r", "bar")]) == 0.5
 
 
 def test_single_category_full_weight():
-    counts = fractional_counts([PlaceRecord("p", "r", ("park",))])
+    counts = counts_of([Page("p", "r", ("park",))])
     assert counts[("r", "park")] == 1
 
 
@@ -51,23 +62,25 @@ def test_mass_conservation_exact():
         k = int(rng.integers(1, 4))
         picks = sorted(rng.choice(len(cats), size=k, replace=False))
         records.append(
-            PlaceRecord(f"p{i}", f"r{int(rng.integers(0, 7))}",
-                        tuple(cats[j] for j in picks))
+            Page(f"p{i}", f"r{int(rng.integers(0, 7))}",
+                 tuple(cats[j] for j in picks))
         )
-    counts = fractional_counts(records)
+    counts = counts_of(records)
     assert sum(counts.values()) == Fraction(len(records))
 
 
-def test_empty_category_set_rejected_with_id():
+def test_empty_category_set_rejected_with_id(tmp_path):
+    path = tmp_path / "places.csv"
+    path.write_text("page_id,region_id,categories\np99,r, ; ;\n")
     with pytest.raises(ValueError, match="p99"):
-        fractional_counts([PlaceRecord("p99", "r", ())])
+        load_places_csv(str(path), listed("r"), "regions.csv")
 
 
 def random_records(seed, n_pages, n_regions, max_categories=12):
     rng = random.Random(seed)
     cats = [f"c{j:02d}" for j in range(15)]
-    return [PlaceRecord(f"p{i}", f"r{rng.randrange(n_regions):03d}",
-                        tuple(sorted(rng.sample(cats, rng.randint(1, max_categories)))))
+    return [Page(f"p{i}", f"r{rng.randrange(n_regions):03d}",
+                 tuple(sorted(rng.sample(cats, rng.randint(1, max_categories)))))
             for i in range(n_pages)]
 
 
@@ -76,11 +89,50 @@ def random_records(seed, n_pages, n_regions, max_categories=12):
 ])
 def test_counts_match_per_record_fraction_sums(seed, n_pages, n_regions, max_categories):
     records = random_records(seed, n_pages, n_regions, max_categories)
-    counts = fractional_counts(records)
+    counts = counts_of(records)
     reference = brute.fractional_counts_reference(records)
     assert counts == reference
     assert list(counts) == list(reference)  # first-seen order
     assert all(type(v) is Fraction for v in counts.values())
+
+
+# A comma and a double quote make the writer quote the cell.
+MESSY_LABELS = ["bar", "cafe", "pub, inn", "park", 'the "zoo"', "gym", "arts"]
+
+
+def messy_places(seed, n_pages, n_regions):
+    r"""The bytes of a places table and its pages. Each cell holds the page's
+    labels padded with blanks, some of them twice, among empty ``;;``
+    segments, in random order; rows are quoted minimally or fully, some
+    are followed by a blank line, and lines end in ``\r\n`` or ``\n``."""
+    rng = random.Random(seed)
+    buf = io.StringIO(newline="")
+    eol = rng.choice(["\r\n", "\n"])
+    csv.writer(buf, lineterminator=eol).writerow(["page_id", "region_id", "categories"])
+    pages = []
+    for i in range(n_pages):
+        labels = rng.sample(MESSY_LABELS, rng.randint(1, 4))
+        parts = labels + rng.sample(labels, rng.randint(0, len(labels))) + [""] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        cell = ";".join(" " * rng.randint(0, 2) + part + " " * rng.randint(0, 2) for part in parts)
+        page = Page(f"p{i}", f"r{rng.randrange(n_regions)}", tuple(sorted(set(labels))))
+        quoting = rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+        csv.writer(buf, lineterminator=eol, quoting=quoting).writerow([*page[:2], cell])
+        buf.write(eol * (rng.random() < 0.1))
+        pages.append(page)
+    return buf.getvalue().encode(), pages
+
+
+@pytest.mark.parametrize("seed, n_pages, n_regions", [(1, 3000, 40), (2, 500, 3), (3, 1, 1)])
+def test_places_tally_matches_per_page_oracle(tmp_path, seed, n_pages, n_regions):
+    text, pages = messy_places(seed, n_pages, n_regions)
+    assert b'"' in text or n_pages == 1
+    path = tmp_path / "places.csv"
+    path.write_bytes(text)
+    tally = load_places_csv(str(path), listed(*(f"r{i}" for i in range(n_regions))), "x")
+    assert list(tally.items()) == list(brute.page_tally_reference(pages).items())
+    counts = fractional_counts(tally)
+    assert list(counts.items()) == list(brute.fractional_counts_reference(pages).items())
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +140,8 @@ def test_counts_match_per_record_fraction_sums(seed, n_pages, n_regions, max_cat
 
 
 def test_per_capita_arithmetic():
-    counts = fractional_counts(
-        [PlaceRecord(f"p{i}", "r1", ("bar",)) for i in range(5)]
+    counts = counts_of(
+        [Page(f"p{i}", "r1", ("bar",)) for i in range(5)]
     )
     regions = {"r1": region(population=10_000)}
     table = per_capita(counts, regions)
@@ -97,7 +149,7 @@ def test_per_capita_arithmetic():
 
 
 def test_per_capita_includes_zero_regions():
-    counts = fractional_counts([PlaceRecord("p", "r1", ("bar",))])
+    counts = counts_of([Page("p", "r1", ("bar",))])
     regions = {"r1": region(), "r2": region(population=500)}
     table = per_capita(counts, regions)
     assert table[("r2", "bar")].weighted_count == 0.0
@@ -105,13 +157,13 @@ def test_per_capita_includes_zero_regions():
 
 
 def test_per_capita_one_page_per_thousand():
-    counts = fractional_counts([PlaceRecord("p", "r", ("bar",))])
+    counts = counts_of([Page("p", "r", ("bar",))])
     table = per_capita(counts, {"r": region(population=1000)})
     assert table[("r", "bar")].per_1000 == 1.0
 
 
 def test_per_capita_missing_region_error_names_it():
-    counts = fractional_counts([PlaceRecord("p", "ghost", ("bar",))])
+    counts = counts_of([Page("p", "ghost", ("bar",))])
     with pytest.raises(ValueError, match="ghost"):
         per_capita(counts, {"r": region()})
 
@@ -127,7 +179,7 @@ def random_populations(seed, n_regions):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_per_capita_matches_exact_reference(seed, kind):
     # 150 regions for pages in 120 of them, so some regions have no pages
-    counts = fractional_counts(random_records(seed, 2000, 120))
+    counts = counts_of(random_records(seed, 2000, 120))
     rng = random.Random(seed)
     if kind == "float":
         counts = {key: float(mass) for key, mass in counts.items()}
@@ -181,10 +233,10 @@ def test_bin_median_single_region_bins():
         "r1": region(rucc=1),
         "r2": region(rucc=2),
     }
-    counts = fractional_counts([
-        PlaceRecord("p1", "r1", ("bar",)),
-        PlaceRecord("p2", "r2", ("bar",)),
-        PlaceRecord("p3", "r2", ("bar",)),
+    counts = counts_of([
+        Page("p1", "r1", ("bar",)),
+        Page("p2", "r2", ("bar",)),
+        Page("p3", "r2", ("bar",)),
     ])
     table = per_capita(counts, regions)
     med = bin_medians(table, regions, "rucc")
@@ -292,14 +344,13 @@ def test_places_csv_loader(tmp_path):
         "p1,r1,bar;cafe\n"
         "p2,r2,park\n"
     )
-    records = load_places_csv(str(path))
-    assert records[0].categories == ("bar", "cafe")
-    assert records[1].region_id == "r2"
+    pages = load_places_csv(str(path), listed("r1", "r2"), "regions.csv")
+    assert pages == {("r1", ("bar", "cafe")): 1, ("r2", ("park",)): 1}
 
     bad = tmp_path / "bad.csv"
     bad.write_text("page_id,region_id,categories\npX,r1,;\n")
     with pytest.raises(ValueError, match="pX"):
-        load_places_csv(str(bad))
+        load_places_csv(str(bad), listed("r1"), "regions.csv")
 
 
 def test_regions_csv_loader(tmp_path):
@@ -337,7 +388,16 @@ def test_places_csv_rejects_repeated_page_id(tmp_path):
     path = tmp_path / "places.csv"
     path.write_text("page_id,region_id,categories\np1,r1,park\np1,r1,park\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: duplicate page_id 'p1'")):
-        load_places_csv(str(path))
+        load_places_csv(str(path), listed("r1"), "regions.csv")
+
+
+def test_external_count_in_unlisted_region_names_line_region_and_region_table(tmp_path):
+    path = tmp_path / "external.csv"
+    path.write_text("region_id,category,count\nr1,park,3\n\nZZ,park,100\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 4: category 'park' has a count for region 'ZZ', "
+            "which regions.csv does not list")):
+        load_external_counts_csv(str(path), listed("r1"), "regions.csv")
 
 
 def test_external_counts_csv_rejects_repeated_region_and_category(tmp_path):
@@ -345,4 +405,4 @@ def test_external_counts_csv_rejects_repeated_region_and_category(tmp_path):
     path.write_text("region_id,category,count\nr1,park,3\nr2,park,4\nr1,bar,1\nr1,park,5\n")
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: line 5: duplicate region_id and category ('r1', 'park')")):
-        load_external_counts_csv(str(path))
+        load_external_counts_csv(str(path), listed("r1", "r2"), "regions.csv")
