@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from placenet.forest import ForestParams, average_ranks, cross_validated_auc, mean_importance
+from placenet.forest import ForestParams, _cross_validate, average_ranks, mean_importance
+from placenet.forest import cross_validated_auc  # noqa: F401 (perfbench/tracing.py wraps it)
 from placenet.seeding import derive_seed
 from placenet.tables import number, read_csv, unique, write_csv
 
@@ -87,24 +88,18 @@ def auc_matrix(
     cats = ensemble.category_names()
     if len(cats) < 2:
         raise ValueError("auc_matrix requires at least 2 categories")
-    rows = {c: ensemble.X[ensemble.categories == c] for c in cats}
+    rows = {c: np.flatnonzero(ensemble.categories == c) for c in cats}
     for c in cats:
         if len(rows[c]) < folds:
             raise ValueError(f"category {c!r} has {len(rows[c])} graphs; needs >= {folds}")
     k = len(cats)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    jobs = [(rows[cats[i]], rows[cats[j]], derive_seed(seed, 37, p))
+            for p, (i, j) in enumerate(pairs)]
+    results = _cross_validate(ensemble.X, jobs, folds, params or ForestParams())
     values = np.full((k, k), 0.5)
-    results = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            result = cross_validated_auc(
-                rows[cats[i]],
-                rows[cats[j]],
-                folds=folds,
-                seed=derive_seed(seed, 37, len(results)),
-                params=params,
-            )
-            values[i, j] = values[j, i] = max(result.mean_auc, 1.0 - result.mean_auc)
-            results.append(result)
+    for (i, j), result in zip(pairs, results):
+        values[i, j] = values[j, i] = max(result.mean_auc, 1.0 - result.mean_auc)
     importance = mean_importance([r.importance for r in results])
     return AucMatrix(tuple(cats), values), importance
 

@@ -1,5 +1,7 @@
 """Classifier, AUC and cross-validation contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from placenet.forest import (
     Dataset,
     ForestParams,
     cross_validated_auc,
+    mean_importance,
     predict_scores,
     roc_auc,
     stratified_fold_assignment,
     train_random_forest,
 )
-from placenet.seeding import derive_rng
+from placenet.seeding import derive_rng, derive_seed
 
 
 def separable_dataset(n_per_class=20, noise_dims=2, seed=0):
@@ -151,16 +154,21 @@ def random_training_set(rng):
     return X, y
 
 
-def assert_forest_equals_reference(X, y, params):
-    model = train_random_forest(Dataset(X, y), params)
-    trees, importances = brute.forest_reference(X, y, params, derive_rng, forest._KEY_ROWS)
-    assert len(model.trees) == len(trees)
-    for tree, ref in zip(model.trees, trees):
+def assert_trees_equal_reference(trees, importances, X, y, params):
+    ref_trees, ref_importances = brute.forest_reference(X, y, params, derive_rng,
+                                                        forest._KEY_ROWS)
+    assert len(trees) == len(ref_trees)
+    for tree, ref in zip(trees, ref_trees):
         for name, expected in zip(("feature", "threshold", "left", "right", "prob"), ref):
             assert getattr(tree, name).tolist() == list(expected), name
-    assert model.importances.tolist() == importances.tolist()
+    assert importances.tolist() == ref_importances.tolist()
     # what the benchmark tracer counts as forest.tree_nodes
-    assert sum(len(t.feature) for t in model.trees) == sum(len(r[0]) for r in trees)
+    assert sum(len(t.feature) for t in trees) == sum(len(r[0]) for r in ref_trees)
+
+
+def assert_forest_equals_reference(X, y, params):
+    model = train_random_forest(Dataset(X, y), params)
+    assert_trees_equal_reference(model.trees, model.importances, X, y, params)
 
 
 def random_params(rng, case, d):
@@ -216,6 +224,139 @@ def test_each_feature_enters_subsets_at_rate_q_over_d(d, q):
                                         seed=100 * d + f))
         hits = sum(int(tree.feature[0] == f) for tree in model.trees)
         assert abs(hits - n_trees * p) <= tolerance, (f, hits)
+
+
+def category_table(rng, n_categories=4, per_category=14, d=6):
+    """A shared feature table whose rounded values tie within and across
+    categories; category c holds rows c * per_category onwards."""
+    X = np.round(rng.normal(size=(n_categories * per_category, d)), 1)
+    X += np.repeat(np.arange(n_categories) % 2, per_category)[:, None] * 0.3
+    return np.round(X, 1)
+
+
+def table_jobs(rng, n_categories=4, per_category=14):
+    """(rows, labels, seed) jobs over category pairs: a random part of the
+    rows of category a (label 1), then of category b (label 0)."""
+    jobs = []
+    for a in range(n_categories):
+        for b in range(a + 1, n_categories):
+            in_a, in_b = (c * per_category + np.flatnonzero(rng.random(per_category) < 0.8)
+                          for c in (a, b))
+            labels = np.repeat(np.int8([1, 0]), [len(in_a), len(in_b)])
+            jobs.append((np.concatenate([in_a, in_b]), labels, int(rng.integers(1 << 40))))
+    return jobs
+
+
+def assert_lockstep_jobs_equal_reference(X, jobs, params):
+    q, max_depth = forest._checked(params, X.shape[1])
+    columns, owner, importances = forest._grow(forest._presort(X), jobs, params, q, max_depth)
+    trees = forest._trees(columns, owner, params.n_trees * len(jobs))
+    for j, (rows, labels, seed) in enumerate(jobs):
+        own = trees[j * params.n_trees : (j + 1) * params.n_trees]
+        assert_trees_equal_reference(own, importances[j], X[rows], labels,
+                                     replace(params, seed=seed))
+
+
+LOCKSTEP_PARAMS = [
+    ForestParams(n_trees=5),
+    ForestParams(n_trees=4, min_leaf=2),
+    ForestParams(n_trees=6, max_depth=1),
+    ForestParams(n_trees=3, max_depth=3, min_leaf=2),
+    ForestParams(n_trees=4, features_per_split=1),
+    ForestParams(n_trees=3, features_per_split=6),
+]
+
+
+@pytest.mark.parametrize("params", LOCKSTEP_PARAMS,
+                         ids=["plain", "min_leaf2", "depth1", "depth3_min_leaf2", "q1", "q_d"])
+def test_lockstep_of_many_jobs_equals_reference_per_job(params):
+    rng = derive_rng(75, params.n_trees, params.min_leaf)
+    for _ in range(3):
+        assert_lockstep_jobs_equal_reference(category_table(rng), table_jobs(rng), params)
+
+
+@pytest.mark.parametrize("block_rows", [1, 50])
+def test_lockstep_of_many_jobs_equals_reference_in_split_blocks(monkeypatch, block_rows):
+    monkeypatch.setattr(forest, "_BLOCK_ROWS", block_rows)
+    rng = derive_rng(76, block_rows)
+    for params in LOCKSTEP_PARAMS[::2]:
+        assert_lockstep_jobs_equal_reference(category_table(rng), table_jobs(rng), params)
+
+
+def walk(tree, x) -> float:
+    """The leaf probability of row x in a reference tree."""
+    feature, threshold, left, right, prob = tree
+    i = 0
+    while feature[i] >= 0:
+        i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+    return prob[i]
+
+
+def cross_validation_reference(A, B, folds, seed, params):
+    """Fold by fold: reference trees, per-row walks summed in tree order."""
+    rng = derive_rng(seed, 23)
+    fold_a = stratified_fold_assignment(len(A), folds, rng)
+    fold_b = stratified_fold_assignment(len(B), folds, rng)
+    aucs, importances = [], []
+    for f in range(folds):
+        X = np.vstack([A[fold_a != f], B[fold_b != f]])
+        y = np.repeat([1, 0], [(fold_a != f).sum(), (fold_b != f).sum()])
+        trees, importance = brute.forest_reference(
+            X, y, replace(params, seed=derive_seed(seed, 29, f)), derive_rng, forest._KEY_ROWS)
+        scores = []
+        for x in np.vstack([A[fold_a == f], B[fold_b == f]]):
+            total = 0
+            for tree in trees:
+                total += float(walk(tree, x))
+            scores.append(total / len(trees))
+        labels = [1] * (fold_a == f).sum() + [0] * (fold_b == f).sum()
+        aucs.append(brute.auc_pair_count(scores, labels))
+        importances.append(importance)
+    return float(np.mean(aucs)), mean_importance(importances)
+
+
+def test_scores_of_many_jobs_equal_per_row_walks_in_tree_order():
+    # shallow trees have impure leaves, so a score's bits depend on the order of its sum
+    rng = derive_rng(78)
+    X, jobs, params = category_table(rng), table_jobs(rng), ForestParams(n_trees=25, max_depth=2)
+    q, max_depth = forest._checked(params, X.shape[1])
+    columns, owner, _ = forest._grow(forest._presort(X), jobs, params, q, max_depth)
+    trees = forest._trees(columns, owner, 25 * len(jobs))
+    tests = [rng.choice(len(X), size=7, replace=False) for _ in jobs]
+    first = np.repeat(np.arange(len(jobs)) * 25, 7)  # each test row's job's first tree
+    scores = forest._scores(columns, np.arange(25)[:, None] + first, X, np.concatenate(tests))
+    expected = []
+    for j, rows in enumerate(tests):
+        for r in rows:
+            total = 0
+            for t in trees[j * 25 : (j + 1) * 25]:
+                total += float(walk((t.feature, t.threshold, t.left, t.right, t.prob), X[r]))
+            expected.append(total / 25)
+    assert scores.tolist() == expected
+
+
+@pytest.mark.parametrize("group_bytes", [None, 1])
+def test_cv_equals_fold_by_fold_reference(monkeypatch, group_bytes):
+    # group_bytes 1: every fold's forest is a group of its own
+    if group_bytes is not None:
+        monkeypatch.setattr(forest, "_GROUP_BYTES", group_bytes)
+    rng = derive_rng(77)
+    for case, params in enumerate(LOCKSTEP_PARAMS):
+        X = category_table(rng, n_categories=2, per_category=15)
+        result = cross_validated_auc(X[:15], X[15:], folds=3, seed=case, params=params)
+        mean_auc, importance = cross_validation_reference(X[:15], X[15:], 3, case, params)
+        assert result.mean_auc == mean_auc
+        assert result.importance.tolist() == importance.tolist()
+
+
+@pytest.mark.parametrize("max_depth", [0, -1])
+def test_max_depth_below_one_is_rejected(max_depth):
+    ds = separable_dataset()
+    params = ForestParams(n_trees=3, max_depth=max_depth)
+    with pytest.raises(ValueError, match=r"max_depth must be >= 1 or None"):
+        train_random_forest(ds, params)
+    with pytest.raises(ValueError, match=r"max_depth must be >= 1 or None"):
+        cross_validated_auc(ds.features[:20], ds.features[20:], folds=2, params=params)
 
 
 @pytest.mark.parametrize("n_trees", [1, 25, 100])

@@ -11,8 +11,8 @@ from scipy.stats import rankdata
 import brute
 import placenet
 from placenet.features import feature_names
-from placenet.forest import ForestParams, average_ranks
-from placenet.seeding import derive_rng
+from placenet.forest import ForestParams, average_ranks, cross_validated_auc, mean_importance
+from placenet.seeding import derive_rng, derive_seed
 from placenet.similarity import (
     Ensemble,
     auc_matrix,
@@ -102,6 +102,63 @@ def test_matrix_determinism():
                         params=ForestParams(n_trees=5))
     assert np.array_equal(m1.values, m2.values)
     assert np.array_equal(i1, i2)
+
+
+@pytest.mark.parametrize("group_bytes, block_rows", [(None, None), (1, None), (None, 3)],
+                         ids=["one_group", "group_per_forest", "small_blocks"])
+def test_matrix_cells_equal_cross_validated_auc_per_pair(monkeypatch, group_bytes, block_rows):
+    # rounded features tie within and across categories
+    spec = {"a": (9, 0.0), "b": (11, 0.4), "c": (9, 0.4), "d": (10, 1.0)}
+    ens = make_ensemble(spec, dim=5, seed=12)
+    ens = Ensemble(ens.ids, ens.categories, np.round(ens.X, 1))
+    cats = ens.category_names()
+    for params in (ForestParams(n_trees=7), ForestParams(n_trees=5, max_depth=2, min_leaf=2),
+                   ForestParams(n_trees=4, features_per_split=5)):
+        pairs = [(i, j) for i in range(len(cats)) for j in range(i + 1, len(cats))]
+        results = [cross_validated_auc(ens.X[ens.categories == cats[i]],
+                                       ens.X[ens.categories == cats[j]],
+                                       folds=3, seed=derive_seed(31, 37, p), params=params)
+                   for p, (i, j) in enumerate(pairs)]
+        with monkeypatch.context() as patch:
+            if group_bytes is not None:
+                patch.setattr(placenet.forest, "_GROUP_BYTES", group_bytes)
+            if block_rows is not None:
+                patch.setattr(placenet.forest, "_BLOCK_ROWS", block_rows)
+            matrix, importance = auc_matrix(ens, folds=3, seed=31, params=params)
+        for (i, j), result in zip(pairs, results):
+            assert matrix.values[i, j] == max(result.mean_auc, 1.0 - result.mean_auc)
+        assert importance.tolist() == mean_importance([r.importance for r in results]).tolist()
+
+
+def test_matrix_memory_is_bounded_by_the_group_cap():
+    # The child reads its own peak RSS from VmHWM, as in the generator test.
+    # 6 categories of 20 graphs at the CLI defaults (10 folds, 100 trees)
+    # make 150 forests; grown in one group they took about 95 MB more than
+    # the imports, in groups of the default cap about 12 MB.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak RSS from /proc")
+    code = """
+import numpy as np
+from placenet.seeding import derive_rng
+from placenet.similarity import Ensemble, auc_matrix
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1]) // 1024
+
+X = derive_rng(2024).normal(size=(120, 18)) + np.repeat(np.arange(6) % 2, 20)[:, None] * 0.5
+ens = Ensemble([f"g{i:03d}" for i in range(120)], [f"c{i // 20}" for i in range(120)], X)
+before = peak_mb()
+matrix, _ = auc_matrix(ens)
+print(matrix.values.shape[0], peak_mb() - before)
+"""
+    src = os.path.dirname(os.path.dirname(placenet.forest.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120,
+                         capture_output=True, text=True).stdout.split()
+    assert int(out[0]) == 6
+    assert int(out[1]) < 45, f"auc_matrix raised the peak RSS by {out[1]} MB"
 
 
 def test_ensemble_rejects_duplicates_and_ragged_vectors():
