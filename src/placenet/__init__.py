@@ -5,6 +5,7 @@ from placenet.features import (
     ConvergenceError,
     FeatureVector,
     compute_features,
+    decomposed,
     feature_names,
 )
 from placenet.forest import (
@@ -52,6 +53,7 @@ __all__ = [
     "compute_features",
     "connected_components",
     "cross_validated_auc",
+    "decomposed",
     "feature_names",
     "global_importance_ranking",
     "largest_connected_component",

@@ -29,13 +29,13 @@ from placenet.features import (
     DEFAULT_K_SET,
     ConvergenceError,
     compute_features,
-    decompose,
+    decomposed,
     read_features_csv,
     write_features_csv,
 )
 from placenet.forest import ForestParams
 from placenet.generators import archetype
-from placenet.graph import Graph, GraphParseError, parse_edge_list, serialize_edge_list
+from placenet.graph import GraphParseError, parse_edge_list, serialize_edge_list
 from placenet.prevalence import (
     BIN_KEYS,
     bin_medians,
@@ -241,17 +241,27 @@ def _cmd_generate(args, out_dir: Path):
     return [entry["path"] for entry in manifest] + ["manifest.jsonl"], {}
 
 
-# Edges per chunk of graphs that features decomposes in one array pass; the
-# benchmark's 120-graph ensemble corpus (about 30 000 edges) fits one chunk.
-_CHUNK_EDGES = 1 << 16
+def _cmd_features(args, out_dir: Path):
+    graph_digests: dict[str, str] = {}
 
+    def graphs():  # ((graph id, edge list), graph) of each manifest entry
+        for line_no, entry in _read_manifest(args.manifest):
+            gpath = args.manifest.parent / entry["path"]  # an absolute path stays as it is
+            try:
+                text = read_text(gpath)
+            except OSError as exc:  # names the graph's path
+                raise ValueError(f"{args.manifest}: line {line_no}: {exc}")
+            graph_digests[entry["id"]] = _sha256_text(text)
+            try:
+                graph = parse_edge_list(text)
+            except GraphParseError as exc:
+                raise ValueError(f"{gpath}: {exc}")
+            yield (entry["id"], gpath), graph
 
-def _chunk_features(args, chunk: list[tuple[str, Path, Graph]]):
-    """(graph id, features) of each (graph id, edge list, graph) of a chunk."""
-    decompose([graph for _, _, graph in chunk])
-    for graph_id, gpath, graph in chunk:
+    rows = []
+    for (graph_id, gpath), graph in decomposed(graphs()):
         try:
-            yield graph_id, compute_features(
+            rows.append((graph_id, compute_features(
                 graph,
                 args.k_set,
                 count_mode=args.count_mode,
@@ -260,32 +270,10 @@ def _chunk_features(args, chunk: list[tuple[str, Path, Graph]]):
                 lambda2_max_iter=args.lambda2_max_iter,
                 path_sample_sources=args.path_sample_sources or None,
                 path_sample_seed=args.seed,
-            )
+            )))
         except ConvergenceError as exc:
             exc.args = (f"{gpath}: {exc}",)  # keeps exit 3; names the graph
             raise
-
-
-def _cmd_features(args, out_dir: Path):
-    rows, chunk, edges = [], [], 0
-    graph_digests: dict[str, str] = {}
-    for line_no, entry in _read_manifest(args.manifest):
-        gpath = args.manifest.parent / entry["path"]  # an absolute path stays as it is
-        try:
-            text = read_text(gpath)
-        except OSError as exc:  # names the graph's path
-            raise ValueError(f"{args.manifest}: line {line_no}: {exc}")
-        graph_digests[entry["id"]] = _sha256_text(text)
-        try:
-            graph = parse_edge_list(text)
-        except GraphParseError as exc:
-            raise ValueError(f"{gpath}: {exc}")
-        if chunk and edges + graph.edge_count() > _CHUNK_EDGES:
-            rows += _chunk_features(args, chunk)
-            chunk, edges = [], 0
-        chunk.append((entry["id"], gpath, graph))
-        edges += graph.edge_count()
-    rows += _chunk_features(args, chunk)
     write_features_csv(str(out_dir / "features.csv"), rows, args.k_set)
     return ["features.csv"], {"graphs": _combined_digest(graph_digests)}
 

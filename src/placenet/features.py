@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +51,9 @@ _KRYLOV_MAX = 20
 
 # Wedges checked for triangles at a time: under 1 MB of index arrays.
 _WEDGE_BLOCK = 1 << 12
+
+# Most edges per decompose() chunk; the 120-graph ensemble corpus has about 30 000.
+_CHUNK_EDGES = 1 << 16
 
 class ConvergenceError(ArithmeticError):
     """Eigensolver failed or exhausted its budget; carries the residual."""
@@ -364,9 +367,12 @@ def max_modularity_cnm(g: Graph) -> tuple[float, dict[str, int]]:
     return q, {u: label[root] for u, root in zip(nodes, parent)}
 
 
-def _check_k(k_set: Iterable[int]) -> None:
+def _check_k(k_set: Sequence[int]) -> None:
     if any(k < 1 for k in k_set):
         raise ValueError("k must be >= 1")
+    repeated = [k for i, k in enumerate(k_set) if k in k_set[:i]]
+    if repeated:
+        raise ValueError(f"k {repeated[0]} repeats in the k set")
 
 
 def _structure(g: Graph) -> tuple[list[int], dict, dict]:
@@ -501,6 +507,22 @@ def decompose(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     for i, g in enumerate(graphs):
         g._structure = links[offsets[i]:offsets[i + 1]].tolist(), kcore[i], kbrace[i]
     return core, brace
+
+
+def decomposed(items: Iterable[tuple[object, Graph]]) -> Iterator[tuple[object, Graph]]:
+    """The ``(key, graph)`` pairs of ``items`` in order, read lazily; one ``decompose`` runs
+    per chunk of up to ``_CHUNK_EDGES`` edges (or one larger graph) before it is yielded."""
+    chunk, edges = [], 0
+    for key, g in items:
+        if chunk and edges + g.edge_count() > _CHUNK_EDGES:
+            decompose([graph for _, graph in chunk])
+            yield from chunk
+            chunk, edges = [], 0
+        chunk.append((key, g))
+        edges += g.edge_count()
+    if chunk:
+        decompose([graph for _, graph in chunk])
+        yield from chunk
 
 
 def k_core_subgraph(g: Graph, k: int) -> Graph:

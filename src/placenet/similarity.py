@@ -130,7 +130,8 @@ def representative_distances(
     category with ``rank_scope="per_category"``. The distance of a member
     with rank vector r to the category mean rank vector rbar is
     sqrt(sum_f w_f (r_f - rbar_f)^2); ``weight_mode="presquare"`` uses
-    sqrt(sum_f (w_f (r_f - rbar_f))^2) instead.
+    sqrt(sum_f (w_f (r_f - rbar_f))^2) instead. Each weight w_f must be
+    finite and >= 0.
     """
     members = np.flatnonzero(ensemble.categories == category)
     if not members.size:
@@ -138,6 +139,8 @@ def representative_distances(
     weights = np.asarray(importance, dtype=float)
     if weights.shape != (ensemble.dim,):
         raise ValueError(f"importance must have dimension {ensemble.dim}")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("importance must be finite and >= 0")
     if rank_scope == "pooled":
         cat_ranks = average_ranks(ensemble.X)[members]
     elif rank_scope == "per_category":
@@ -189,8 +192,13 @@ def write_importance_csv(path: str, importance, names: list[str]) -> None:
 
 
 def read_importance_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Read back (feature names, importance values) in file order."""
-    _, rows = read_csv(path, ["feature", "importance"], lambda name, value: (
-        name, number(value)
-    ))
+    """Read back (feature names, importance values) in file order; a
+    negative value is bad data on its line."""
+    def row(name: str, value: str) -> tuple[str, float]:
+        weight = number(value)
+        if weight < 0:
+            raise ValueError(f"negative importance {value!r}")
+        return name, weight
+
+    _, rows = read_csv(path, ["feature", "importance"], row)
     return [name for name, _ in rows], np.array([value for _, value in rows], dtype=float)

@@ -172,16 +172,17 @@ def test_features_bytes_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch,
     assert main(["generate", "--config", str(tmp_path / "chunk.ini"),
                  "--out-dir", str(gen), "--seed", "7"]) == 0
     chunks = []
+    original = placenet.features.decompose
 
     def decompose(graphs):
         chunks.append([g.edge_count() for g in graphs])
-        return placenet.features.decompose(graphs)
+        return original(graphs)
 
-    monkeypatch.setattr(placenet.cli, "decompose", decompose)
+    monkeypatch.setattr(placenet.features, "decompose", decompose)
     outputs = []
     for budget, sizes in ((1, [1] * 8 + [2]), (1000, [3, 3, 1, 3]),
-                          (placenet.cli._CHUNK_EDGES, [10])):
-        monkeypatch.setattr(placenet.cli, "_CHUNK_EDGES", budget)
+                          (placenet.features._CHUNK_EDGES, [10])):
+        monkeypatch.setattr(placenet.features, "_CHUNK_EDGES", budget)
         chunks.clear()
         out = tmp_path / f"out{budget}"
         assert main(["features", "--manifest", str(gen / "manifest.jsonl"),
@@ -761,6 +762,24 @@ def test_represent_copies_with_one_path_are_data_error(tmp_path, capsys, picks, 
     (first, _), (second, _) = picks
     assert f"categories {first!r} and {second!r}" in err, err
     assert f"representatives/{rel}" in err, err
+    assert list(out.iterdir()) == []
+
+
+def test_represent_negative_importance_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"id": gid, "path": "g.edges", "category": "c"}) + "\n"
+        for gid in ("g1", "g2", "g3")))
+    (tmp_path / "g.edges").write_text("a b\n")
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id,f0,f1\ng1,1.0,3.0\ng2,2.0,1.0\ng3,3.0,2.0\n")
+    importance = tmp_path / "importance.csv"
+    importance.write_text("feature,importance,rank\nf0,1.0,1\nf1,-1.0,2\n")
+    out = tmp_path / "rep"
+    assert main(["represent", "--features", str(features), "--manifest", str(manifest),
+                 "--importance", str(importance), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{importance}: line 3: negative importance '-1.0'" in err, err
     assert list(out.iterdir()) == []
 
 

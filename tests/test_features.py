@@ -22,6 +22,7 @@ from placenet.features import (
     avg_clustering,
     avg_path_length_lcc,
     compute_features,
+    decomposed,
     degree_assortativity,
     feature_names,
     k_brace_subgraph,
@@ -621,6 +622,8 @@ def test_k_validation():
         for mode in ("components", "nodes"):
             with pytest.raises(ValueError):
                 compute_features(g, (0,), count_mode=mode)
+            with pytest.raises(ValueError, match="^k 2 repeats in the k set$"):
+                compute_features(g, (4, 2, 8, 2), count_mode=mode)
 
 
 def test_core_and_brace_nesting_properties():
@@ -796,6 +799,75 @@ print(g.nodes()[0], core.max(), brace.max(), *g._structure[1]["components"],
                          capture_output=True, text=True).stdout.split()
     assert out[:5] == ["a", "1", "0", "1", "100001"]
     assert int(out[5]) < 300, f"peak RSS {out[5]} MB"
+
+
+def counted_decompose(monkeypatch):
+    """The edge counts of the graphs of each later ``decompose`` call."""
+    chunks, original = [], placenet.features.decompose
+
+    def decompose(graphs):
+        chunks.append([g.edge_count() for g in graphs])
+        return original(graphs)
+
+    monkeypatch.setattr(placenet.features, "decompose", decompose)
+    return chunks
+
+
+@pytest.mark.parametrize("budget", [1, 40, 100, placenet.features._CHUNK_EDGES])
+def test_decomposed_yields_every_pair_in_order_in_chunks_within_budget(monkeypatch, budget):
+    monkeypatch.setattr(placenet.features, "_CHUNK_EDGES", budget)
+    chunks = counted_decompose(monkeypatch)
+    graphs = [fresh(g) for g in decompose_graphs()]
+    keys = [object() for _ in graphs]
+    pairs = []
+    for key, g in decomposed(zip(keys, graphs)):
+        assert g._structure is not None and g._lcc is not None  # decomposed first
+        pairs.append((key, g))
+    assert len(pairs) == len(graphs)
+    assert all(k is key and h is g for (k, h), key, g in zip(pairs, keys, graphs))
+    assert [m for chunk in chunks for m in chunk] == [g.edge_count() for g in graphs]
+    assert all(sum(chunk) <= budget or len(chunk) == 1 for chunk in chunks), chunks
+    # a chunk ends only where the next graph would take it over the budget
+    assert all(sum(a) + b[0] > budget for a, b in zip(chunks, chunks[1:])), chunks
+    top = max(g.edge_count() for g in graphs)
+    assert (budget >= top) or [top] in chunks  # the largest graph alone
+
+
+def test_decomposed_reads_one_graph_past_the_chunk_it_yields(monkeypatch):
+    monkeypatch.setattr(placenet.features, "_CHUNK_EDGES", 3)
+    read = []
+
+    def items():
+        for i, g in enumerate([path(3), path(2), path(4), path(2)]):  # 2, 1, 3, 1 edges
+            read.append(i)
+            yield i, g
+
+    seen = []
+    for i, _ in decomposed(items()):
+        seen.append((i, len(read)))
+    # chunks [0, 1], [2], [3]: each is yielded once the next graph is read
+    assert seen == [(0, 3), (1, 3), (2, 4), (3, 4)]
+
+
+def test_decomposed_of_no_pairs(monkeypatch):
+    chunks = counted_decompose(monkeypatch)
+    assert list(decomposed([])) == []
+    assert chunks == []
+
+
+@pytest.mark.parametrize("budget, calls", [(100, 22), (placenet.features._CHUNK_EDGES, 1)])
+def test_library_loop_through_decomposed_equals_lone_calls(monkeypatch, budget, calls):
+    graphs = decompose_graphs()
+    options = {"count_mode": "nodes", "path_sample_sources": 3}
+    lone = [compute_features(fresh(g), (1, 3, 5), **options) for g in graphs]
+    monkeypatch.setattr(placenet.features, "_CHUNK_EDGES", budget)
+    chunks = counted_decompose(monkeypatch)
+    batched = [compute_features(g, (1, 3, 5), **options)
+               for _, g in decomposed((None, fresh(g)) for g in graphs)]
+    assert batched == lone
+    # one decompose per chunk, none per graph from compute_features
+    assert len(chunks) == calls
+    assert sum(map(len, chunks)) == len(graphs)
 
 
 # ---------------------------------------------------------------------------

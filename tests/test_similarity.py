@@ -354,6 +354,14 @@ def test_unknown_category_raises():
         representative_graph(ens, "nope", [1.0])
 
 
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["squared", "presquare"])
+def test_negative_or_non_finite_weight_raises(weight, mode):
+    ens = Ensemble.from_rows(("a", f"g{i}", [float(i), float(-i)]) for i in range(4))
+    with pytest.raises(ValueError, match="^importance must be finite and >= 0$"):
+        representative_distances(ens, "a", [1.0, weight], weight_mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # CSV surfaces
 
@@ -380,3 +388,10 @@ def test_importance_csv_round_trip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "feature,importance,rank"
     assert lines[1].endswith(",1")
+
+
+def test_importance_csv_refuses_a_negative_value(tmp_path):
+    path = tmp_path / "imp.csv"
+    path.write_text("feature,importance,rank\nx,0.5,1\ny,-1.0,2\n")
+    with pytest.raises(ValueError, match=r"imp\.csv: line 3: negative importance '-1\.0'$"):
+        read_importance_csv(str(path))

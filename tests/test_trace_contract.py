@@ -2,16 +2,19 @@
 
 ``perfbench/tracing.py`` wraps each ``(module, attribute)`` of ``SPANS`` and
 each generator kind of ``KIND_SPANS``; a rename in ``placenet`` would break
-``perfbench/run.py --trace 1``. These tests only resolve the names; they do
-not install the tracer.
+``perfbench/run.py --trace 1``, and a traced name that ``cli.py`` imports but
+no longer calls would leave its metric at 0. These tests resolve the names
+and read ``cli.py``'s syntax tree; they do not install the tracer.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+import placenet.cli
 from placenet.generators import _KIND_FUNCS
 
 _spec = importlib.util.spec_from_file_location(
@@ -30,3 +33,15 @@ def test_traced_attribute_resolves(module_name, attr):
 def test_traced_generator_kinds_resolve():
     assert set(tracing.KIND_SPANS) <= set(_KIND_FUNCS)
     assert all(callable(_KIND_FUNCS[kind]) for kind in tracing.KIND_SPANS)
+
+
+def _loaded_names(path):
+    """Every name that the module at ``path`` reads; imports bind, not read."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("attr", sorted({a for m, a, _ in tracing.SPANS if m == "placenet.cli"}))
+def test_traced_cli_name_is_used(attr):
+    assert attr in _loaded_names(placenet.cli.__file__), f"placenet.cli never uses {attr}"
